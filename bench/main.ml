@@ -240,13 +240,13 @@ let fresh_dir tag =
   rm_rf dir;
   dir
 
-let service_throughput ?(durable = false) ?(io_mode = Dex_runtime.Transport.Reactor) () =
+let service_throughput ?(durable = false) () =
   let n = 4 and t = 0 in
   let pair = Pair.freq ~n ~t in
   let dir = if durable then Some (fresh_dir "svc") else None in
-  let cfg = Svc.config ?data_dir:dir ~io_mode ~pair:(fun _ -> pair) ~n ~t () in
+  let cfg = Svc.config ?data_dir:dir ~pair:(fun _ -> pair) ~n ~t () in
   let d = Svc.launch cfg in
-  let c = Dex_service.Client.connect ~io_mode ~client:1 (List.map snd d.Svc.ports) in
+  let c = Dex_service.Client.connect ~client:1 (List.map snd d.Svc.ports) in
   let r =
     Dex_service.Client.Load.run_many ~clients:64 ~duration:2.0 c (fun i ->
         Dex_service.State_machine.Set (Printf.sprintf "k%d" (i mod 64), i))
@@ -259,15 +259,7 @@ let service_throughput ?(durable = false) ?(io_mode = Dex_runtime.Transport.Reac
   let committed = float_of_int r.committed in
   let p50 = match r.latency with Some s -> s.Dex_metrics.Stats.p50 | None -> 0.0 in
   let p99 = match r.latency with Some s -> s.Dex_metrics.Stats.p99 | None -> 0.0 in
-  let tag name =
-    (* The reactor path is the default, so its rows keep the names earlier
-       BENCH_*.json runs used; the threaded baseline gets its own prefix. *)
-    let mode = match io_mode with
-      | Dex_runtime.Transport.Reactor -> ""
-      | Dex_runtime.Transport.Threads -> "threads-"
-    in
-    if durable then "service/durable-" ^ mode ^ name else "service/" ^ mode ^ name
-  in
+  let tag name = if durable then "service/durable-" ^ name else "service/" ^ name in
   [
     (tag "throughput-ops-s", r.throughput);
     ( tag "one-step-fraction",
@@ -692,9 +684,7 @@ let () =
      runtime changes without the microbenchmark preamble or JSON output. *)
   if arg = "service" then begin
     let rows =
-      service_throughput ()
-      @ service_throughput ~io_mode:Dex_runtime.Transport.Threads ()
-      @ service_throughput ~durable:true ()
+      service_throughput () @ service_throughput ~durable:true ()
     in
     List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) rows;
     exit 0
@@ -727,9 +717,7 @@ let () =
   print_endline "\n== Service lane (loopback n=4 t=0, 64 closed-loop clients) ==";
   let service_rows =
     in_child (fun () ->
-        service_throughput ()
-        @ service_throughput ~io_mode:Dex_runtime.Transport.Threads ()
-        @ reactor_tick_row ())
+        service_throughput () @ reactor_tick_row ())
   in
   List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) service_rows;
   print_endline "\n== Sharding lane (k groups, shared runtime, 64 clients/shard) ==";

@@ -75,8 +75,7 @@ let print_agg ~protocol (report : Dex_service.Client.Load.report) =
 
 (* Sharded aggregate-throughput mode: one router over K port groups, the
    whole client population multiplexed through it. *)
-let sharded_action ~protocol ports shards client clients duration timeout workload value_bytes
-    io_mode =
+let sharded_action ~protocol ports shards client clients duration timeout workload value_bytes =
   if List.length ports mod shards <> 0 then
     failwith
       (Printf.sprintf "--ports lists %d ports, not divisible into %d equal shard groups"
@@ -86,7 +85,7 @@ let sharded_action ~protocol ports shards client clients duration timeout worklo
     List.init shards (fun i -> List.filteri (fun j _ -> j / per = i) ports)
   in
   let map = Dex_shard.Shard_map.create ~shards () in
-  let r = Router.connect ~io_mode ~map ~client groups in
+  let r = Router.connect ~map ~client groups in
   let report =
     Router.Load.run_many ~clients:(max 1 clients) ~timeout ~duration r
       (workload_of ~value_bytes workload client)
@@ -96,15 +95,15 @@ let sharded_action ~protocol ports shards client clients duration timeout worklo
   print_agg ~protocol report.Router.Load.agg
 
 let action ports_s shards client clients duration pace timeout attempts workload value_bytes
-    io_mode protocol =
+    protocol =
   match
     let ports = List.map int_of_string (String.split_on_char ',' ports_s) in
     if shards > 1 then
       sharded_action ~protocol ports shards client clients duration timeout workload
-        value_bytes io_mode
+        value_bytes
     else begin
       let gen = workload_of ~value_bytes workload client in
-      let c = Dex_service.Client.connect ~io_mode ~client ports in
+      let c = Dex_service.Client.connect ~client ports in
       let report =
         if clients > 1 then
           (* Throughput harness: many logical closed loops, one thread. *)
@@ -180,24 +179,6 @@ let protocol_t =
            as the fast path in the headline fraction (one-step for dex, two-step for the \
            others).")
 
-let io_mode_t =
-  let conv_mode =
-    let parse s =
-      match Dex_runtime.Transport.io_mode_of_string s with
-      | Some m -> Ok m
-      | None -> Error (`Msg (Printf.sprintf "unknown io mode %S (use threads or reactor)" s))
-    in
-    Arg.conv
-      (parse, fun ppf m -> Format.pp_print_string ppf (Dex_runtime.Transport.io_mode_to_string m))
-  in
-  Arg.(
-    value
-    & opt conv_mode Dex_runtime.Transport.Reactor
-    & info [ "io-mode" ]
-        ~doc:
-          "Receive machinery: $(b,reactor) (one event loop, incremental frame reassembly, \
-           coalesced writes) or $(b,threads) (one blocking reader thread per connection).")
-
 let () =
   let info =
     Cmd.info "dex_client" ~version:"1.0.0"
@@ -207,6 +188,6 @@ let () =
     Term.(
       ret
         (const action $ ports_t $ shards_t $ client_t $ clients_t $ duration_t $ pace_t
-        $ timeout_t $ attempts_t $ workload_t $ value_bytes_t $ io_mode_t $ protocol_t))
+        $ timeout_t $ attempts_t $ workload_t $ value_bytes_t $ protocol_t))
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -46,7 +46,6 @@ type opts = {
   snapshot_every : int;
   kill : int;
   down : float;
-  io_mode : Dex_runtime.Transport.io_mode;
   chaos_plan : string option;
   shards : int;
   dissemination : Dex_erasure.Dissemination.mode;
@@ -90,7 +89,7 @@ module Run (L : PL.LANE) = struct
 
   let config_of opts =
     let pair = pair_of opts in
-    S.config ~seed:opts.seed ~io_mode:opts.io_mode ~window:opts.window
+    S.config ~seed:opts.seed ~window:opts.window
       ~batch_delay:opts.batch_delay ~settle:opts.settle ~batch_cap:opts.batch_cap
       ~queue_cap:opts.queue_cap ?data_dir:opts.data_dir ~group_commit:opts.group_commit
       ~snapshot_every:opts.snapshot_every ~dissemination:opts.dissemination
@@ -100,6 +99,14 @@ module Run (L : PL.LANE) = struct
   let launch ?roles ?chaos opts =
     let roles = match roles with Some r -> r | None -> roles_of opts in
     S.launch ~roles ?chaos ~port_base:opts.port_base (config_of opts)
+
+  (* Freeze a deployment for its audit: consensus first, then the
+     replicas. A node thread still applying after its replica's WAL is
+     closed would raise while holding the replica lock, and the audit's
+     reads would then wait on that lock forever. *)
+  let stop_all d =
+    Dex_runtime.Cluster.shutdown d.S.cluster;
+    List.iter (fun (_, s) -> S.stop s) d.S.servers
 
   (* A sharded deployment: [opts.shards] groups behind one shared runtime,
      every group getting the same role assignment unless overridden. *)
@@ -170,9 +177,9 @@ module Run (L : PL.LANE) = struct
       in
       if rows = [] then "" else " | peers " ^ String.concat " " rows
     in
-    (* Event-driven runtime health, present only under --io-mode reactor:
-       registered fds and timer-queue depth across all loops, loop
-       iterations, and the client write-buffer high-water mark. *)
+    (* Event-driven runtime health: registered fds and timer-queue depth
+       across all loops, loop iterations, and the client write-buffer
+       high-water mark. *)
     let reactor_part =
       if not (List.mem_assoc "reactor/loops" merged) then ""
       else
@@ -207,10 +214,9 @@ module Run (L : PL.LANE) = struct
   let serve_one opts =
     let d = launch opts in
     Printf.printf
-      "service up: n=%d t=%d protocol=%s pair=%s durability=%s io=%s dissemination=%s\n"
+      "service up: n=%d t=%d protocol=%s pair=%s durability=%s dissemination=%s\n"
       opts.n opts.t L.name opts.pair_name
       (match opts.data_dir with Some dir -> dir | None -> "off")
-      (Dex_runtime.Transport.io_mode_to_string opts.io_mode)
       (Dex_erasure.Dissemination.to_string opts.dissemination);
     print_ports d;
     let heartbeat = if opts.stats_every > 0.0 then opts.stats_every else 10.0 in
@@ -249,7 +255,7 @@ module Run (L : PL.LANE) = struct
       (String.concat "," (List.map string_of_int opts.mute))
       (String.concat "," (List.map string_of_int opts.equivocate));
     let client =
-      Dex_service.Client.connect ~io_mode:opts.io_mode ~client:1
+      Dex_service.Client.connect ~client:1
         (submit_ports opts (List.map snd d.S.ports))
     in
     let report =
@@ -259,7 +265,7 @@ module Run (L : PL.LANE) = struct
     (* Let stragglers apply before inspecting replica state. *)
     Thread.delay 0.5;
     Dex_service.Client.close client;
-    List.iter (fun (_, s) -> S.stop s) d.S.servers;
+    stop_all d;
     print_stats d;
     let compared, violations = S.agreement_violations d in
     let counter_of s = match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0 in
@@ -334,7 +340,7 @@ module Run (L : PL.LANE) = struct
       Thread.create
         (fun () ->
           let client =
-            Dex_service.Client.connect ~io_mode:opts.io_mode ~client:1 (List.map snd d.S.ports)
+            Dex_service.Client.connect ~client:1 (List.map snd d.S.ports)
           in
           report := Some (Dex_service.Client.Load.run ~duration:opts.duration client
                             (workload_of opts));
@@ -369,7 +375,7 @@ module Run (L : PL.LANE) = struct
       Thread.delay 0.1
     done;
     let did_converge = converged () in
-    List.iter (fun (_, s) -> S.stop s) d.S.servers;
+    stop_all d;
     print_stats d;
     let rstats = S.stats restarted in
     (* The gate's recovery report reads the unified registry: the restarted
@@ -531,7 +537,7 @@ module Run (L : PL.LANE) = struct
              ())
     in
     let client =
-      Dex_service.Client.connect ~io_mode:opts.io_mode ~client:1 (List.map snd d.S.ports)
+      Dex_service.Client.connect ~client:1 (List.map snd d.S.ports)
     in
     let report =
       Dex_service.Client.Load.run ~duration:opts.duration client (workload_of opts)
@@ -541,7 +547,7 @@ module Run (L : PL.LANE) = struct
     (* Stragglers settle under honest behaviour: a plan may end mid-churn. *)
     List.iter (fun (_, cell) -> cell := Dex_net.Adversary.Churn_honest) d.S.churn_cells;
     Thread.delay 0.5;
-    List.iter (fun (_, s) -> S.stop s) d.S.servers;
+    stop_all d;
     let compared, violations = S.agreement_violations d in
     let counter_of s =
       match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0
@@ -551,7 +557,6 @@ module Run (L : PL.LANE) = struct
         (fun (_, s) -> counter_of s > report.Dex_service.Client.Load.issued)
         d.S.servers
     in
-    Dex_runtime.Cluster.shutdown d.S.cluster;
     (report, compared, violations, overshoot, !sched_err)
 
   let gauntlet_one opts =
@@ -587,10 +592,9 @@ module Run (L : PL.LANE) = struct
           (Printf.sprintf "dex-gauntlet-%d" (Unix.getpid ()))
     in
     Printf.printf
-      "gauntlet: n=%d t=%d protocol=%s pair=%s io=%s dissemination=%s duration=%.1fs plan=%s (%d \
+      "gauntlet: n=%d t=%d protocol=%s pair=%s dissemination=%s duration=%.1fs plan=%s (%d \
        rules, %d cuts, %d storm, %d churn; seed %d)\n%!"
       opts.n opts.t L.name opts.pair_name
-      (Dex_runtime.Transport.io_mode_to_string opts.io_mode)
       (Dex_erasure.Dissemination.to_string opts.dissemination)
       opts.duration
       (match opts.chaos_plan with Some f -> f | None -> "builtin")
@@ -729,14 +733,13 @@ module Run (L : PL.LANE) = struct
 
   let serve_set opts =
     let g = launch_set opts in
-    Printf.printf "service up: n=%d t=%d shards=%d map=%s protocol=%s pair=%s durability=%s io=%s\n"
+    Printf.printf "service up: n=%d t=%d shards=%d map=%s protocol=%s pair=%s durability=%s\n"
       opts.n opts.t opts.shards
       (Dex_shard.Shard_map.to_string (G.map g))
       L.name opts.pair_name
       (match opts.data_dir with
       | Some dir -> Filename.concat dir "shard-<i>"
-      | None -> "off")
-      (Dex_runtime.Transport.io_mode_to_string opts.io_mode);
+      | None -> "off");
     print_ports_set g;
     let heartbeat = if opts.stats_every > 0.0 then opts.stats_every else 10.0 in
     let report () = if opts.stats_every > 0.0 then stats_line_set g else print_stats_set g in
@@ -771,7 +774,7 @@ module Run (L : PL.LANE) = struct
       (String.concat "," (List.map string_of_int opts.mute))
       (String.concat "," (List.map string_of_int opts.equivocate));
     let router =
-      Router.connect ~io_mode:opts.io_mode ~map:(G.map g) ~client:1
+      Router.connect ~map:(G.map g) ~client:1
         (Array.to_list (G.ports g))
     in
     let report =
@@ -782,7 +785,7 @@ module Run (L : PL.LANE) = struct
     (* Let stragglers apply before inspecting replica state. *)
     Thread.delay 0.5;
     Router.close router;
-    Array.iter (fun d -> List.iter (fun (_, s) -> S.stop s) d.S.servers) (G.deployments g);
+    Array.iter stop_all (G.deployments g);
     let viols, overshoot = audit_set g report in
     let empty_shards =
       List.filter
@@ -835,7 +838,7 @@ module Run (L : PL.LANE) = struct
       Thread.create
         (fun () ->
           let router =
-            Router.connect ~io_mode:opts.io_mode ~map:(G.map g) ~client:1
+            Router.connect ~map:(G.map g) ~client:1
               (Array.to_list (G.ports g))
           in
           report :=
@@ -876,7 +879,7 @@ module Run (L : PL.LANE) = struct
       Thread.delay 0.1
     done;
     let did_converge = converged () in
-    Array.iter (fun d -> List.iter (fun (_, s) -> S.stop s) d.S.servers) (G.deployments g);
+    Array.iter stop_all (G.deployments g);
     let reg = R.merge [ R.snapshot (S.metrics restarted); R.snapshot d0.S.net_metrics ] in
     Printf.printf
       "recovery: replayed=%d catchup=%d state-transfers=%d snapshots=%d | net reconn=%d\n%!"
@@ -950,7 +953,7 @@ module Run (L : PL.LANE) = struct
              ())
     in
     let router =
-      Router.connect ~io_mode:opts.io_mode ~map:(G.map g) ~client:1
+      Router.connect ~map:(G.map g) ~client:1
         (Array.to_list (G.ports g))
     in
     let report =
@@ -964,7 +967,7 @@ module Run (L : PL.LANE) = struct
         List.iter (fun (_, cell) -> cell := Dex_net.Adversary.Churn_honest) d.S.churn_cells)
       (G.deployments g);
     Thread.delay 0.5;
-    Array.iter (fun d -> List.iter (fun (_, s) -> S.stop s) d.S.servers) (G.deployments g);
+    Array.iter stop_all (G.deployments g);
     let viols, overshoot = audit_set g report in
     G.shutdown g;
     (report, viols, overshoot, !sched_err)
@@ -1002,10 +1005,9 @@ module Run (L : PL.LANE) = struct
           (Printf.sprintf "dex-gauntlet-shards-%d" (Unix.getpid ()))
     in
     Printf.printf
-      "gauntlet: n=%d t=%d shards=%d (chaos confined to shard 0) protocol=%s pair=%s io=%s \
+      "gauntlet: n=%d t=%d shards=%d (chaos confined to shard 0) protocol=%s pair=%s \
        duration=%.1fs plan=%s (%d rules, %d cuts, %d storm, %d churn; seed %d)\n%!"
       opts.n opts.t opts.shards L.name opts.pair_name
-      (Dex_runtime.Transport.io_mode_to_string opts.io_mode)
       opts.duration
       (match opts.chaos_plan with Some f -> f | None -> "builtin")
       (List.length spec.FP.rules) (List.length spec.FP.cuts) (List.length spec.FP.storm)
@@ -1237,25 +1239,6 @@ let opts_t ~default_n ~default_t ~default_duration ~default_mute =
       value & opt float 1.0
       & info [ "down" ] ~doc:"Seconds the crashed replica stays down (restart command).")
   in
-  let io_mode_t =
-    let conv_mode =
-      let parse s =
-        match Dex_runtime.Transport.io_mode_of_string s with
-        | Some m -> Ok m
-        | None -> Error (`Msg (Printf.sprintf "unknown io mode %S (use threads or reactor)" s))
-      in
-      Arg.conv
-        (parse, fun ppf m -> Format.pp_print_string ppf (Dex_runtime.Transport.io_mode_to_string m))
-    in
-    Arg.(
-      value
-      & opt conv_mode Dex_runtime.Transport.Reactor
-      & info [ "io-mode" ]
-          ~doc:
-            "I/O runtime: $(b,reactor) (event loop per replica, nonblocking sockets, frame \
-             coalescing, timer-driven batching and group commit) or $(b,threads) \
-             (thread-per-connection with condvar mailboxes).")
-  in
   let chaos_plan_t =
     Arg.(
       value
@@ -1314,7 +1297,7 @@ let opts_t ~default_n ~default_t ~default_duration ~default_mute =
              the dissemination lane.")
   in
   let make n t pair_name seed window batch_delay settle batch_cap queue_cap port_base duration
-      mute equivocate data_dir stats_every no_group_commit snapshot_every kill down io_mode
+      mute equivocate data_dir stats_every no_group_commit snapshot_every kill down
       chaos_plan shards dissemination value_bytes submit_to =
     let mute =
       match default_mute with
@@ -1324,14 +1307,14 @@ let opts_t ~default_n ~default_t ~default_duration ~default_mute =
     let shards = max 1 shards in
     { n; t; pair_name; seed; window; batch_delay; settle; batch_cap; queue_cap; port_base;
       duration; mute; equivocate; data_dir; stats_every; group_commit = not no_group_commit;
-      snapshot_every; kill; down; io_mode; chaos_plan; shards; dissemination; value_bytes;
+      snapshot_every; kill; down; chaos_plan; shards; dissemination; value_bytes;
       submit_to }
   in
   Term.(
     const make $ n_t $ t_t $ pair_t $ seed_t $ window_t $ batch_delay_t $ settle_t
     $ batch_cap_t $ queue_cap_t $ port_base_t $ duration_t $ mute_t $ equivocate_t
     $ data_dir_t $ stats_every_t $ no_group_commit_t $ snapshot_every_t $ kill_t $ down_t
-    $ io_mode_t $ chaos_plan_t $ shards_t $ dissemination_t $ value_bytes_t $ submit_to_t)
+    $ chaos_plan_t $ shards_t $ dissemination_t $ value_bytes_t $ submit_to_t)
 
 let uc_t =
   Arg.(value & opt string "oracle" & info [ "uc" ] ~doc:"Underlying consensus: oracle or leader.")
@@ -1357,7 +1340,7 @@ let flags_man =
        groups of n replicas behind a shard router (one shared runtime); $(b,--protocol) \
        protocol lane ($(b,dex), $(b,two-step) or $(b,hbft)); $(b,--uc) underlying \
        consensus ($(b,oracle) or $(b,leader)); $(b,--pair) condition pair ($(b,freq) or \
-       $(b,prv[:M])); $(b,--io-mode) I/O runtime ($(b,reactor) or $(b,threads)).";
+       $(b,prv[:M])).";
     `P
       "Batching and admission: $(b,--window) log pipelining window; $(b,--batch-delay) \
        batcher tick; $(b,--settle) minimum request age before proposal; \

@@ -2,15 +2,6 @@ open Dex_net
 
 open Dex_stdext
 
-type io_mode = Threads | Reactor
-
-let io_mode_of_string = function
-  | "threads" -> Some Threads
-  | "reactor" -> Some Reactor
-  | _ -> None
-
-let io_mode_to_string = function Threads -> "threads" | Reactor -> "reactor"
-
 type link_stats = { reconnects : int; backoffs : int; drops : int }
 
 type 'msg t = {
@@ -216,8 +207,7 @@ module Delay_queue = struct
 end
 
 (* Fault injection wraps the abstract transport, so every implementation —
-   in-memory, threaded TCP, reactor TCP — faces the same adversarial
-   network. The plan decides per send; delayed copies are delivered by one
+   in-memory mailboxes and TCP — faces the same adversarial network. The plan decides per send; delayed copies are delivered by one
    joined scheduler thread. *)
 let with_faults plan inner =
   let dq = lazy (Delay_queue.create ()) in
@@ -383,233 +373,6 @@ module Mem = struct
     match faults with None -> t | Some plan -> with_faults plan t
 end
 
-(* Shared TCP machinery, parameterized by the frame format. *)
-module Tcp_generic = struct
-  (* Outbound send failures are retried with a fresh connection and a short
-     backoff before a message is abandoned: a peer restarting its listener,
-     or a reader torn down over one malformed frame, costs a reconnect
-     instead of silently severing the link forever. *)
-  let retry_backoffs = [| 0.001; 0.005; 0.02 |]
-
-  let create ~write_frame ~read_frame ?metrics ?(remotes = []) ?on_bind ~pids () =
-    (* Writing to a peer that vanished must surface as EPIPE, not kill the
-       process. Idempotent; no-op on platforms without SIGPIPE. *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    let boxes = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace boxes p (Mailbox.create ())) pids;
-    let listeners = Hashtbl.create 16 in
-    let ports = Hashtbl.create 16 in
-    List.iter (fun (pid, port) -> Hashtbl.replace ports pid port) remotes;
-    let conns : (Pid.t * Pid.t, out_channel * Mutex.t) Hashtbl.t = Hashtbl.create 16 in
-    let conns_mutex = Mutex.create () in
-    (* Link-health accounting, per destination: connects beyond the first
-       per (src, dst) pair are reconnects; every retry sleep in [send] is a
-       backoff. *)
-    let links = Links.create ?metrics () in
-    let closed = ref false in
-    let ever_mutex = Mutex.create () in
-    let ever_connected : (Pid.t * Pid.t, unit) Hashtbl.t = Hashtbl.create 16 in
-    (* Every spawned thread and accepted socket is tracked so [close] can
-       shut the sockets (waking blocked reads) and join every thread —
-       nothing is left running after close returns. *)
-    let track_mutex = Mutex.create () in
-    let threads : Thread.t list ref = ref [] in
-    let accepted : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16 in
-    let track_thread th =
-      Mutex.lock track_mutex;
-      threads := th :: !threads;
-      Mutex.unlock track_mutex
-    in
-
-    (* Reader: one thread per accepted connection; frames carry the claimed
-       source pid. A malformed frame kills only this connection — the peer
-       is treated as Byzantine. *)
-    let reader ~dst sock =
-      let ic = Unix.in_channel_of_descr sock in
-      let rec loop () =
-        let src, msg = read_frame ic in
-        (match Hashtbl.find_opt boxes dst with
-        | Some box -> Mailbox.push box (src, msg)
-        | None -> ());
-        loop ()
-      in
-      (try loop () with
-      | End_of_file | Sys_error _ | Unix.Unix_error _ | Dex_codec.Codec.Decode_error _ -> ());
-      Mutex.lock track_mutex;
-      if Hashtbl.mem accepted sock then begin
-        Hashtbl.remove accepted sock;
-        try Unix.close sock with Unix.Unix_error _ -> ()
-      end;
-      Mutex.unlock track_mutex
-    in
-
-    (* One listener per pid on an ephemeral loopback port. *)
-    List.iter
-      (fun pid ->
-        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt sock Unix.SO_REUSEADDR true;
-        Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        Unix.listen sock 64;
-        let port =
-          match Unix.getsockname sock with
-          | Unix.ADDR_INET (_, port) -> port
-          | _ -> assert false
-        in
-        Hashtbl.replace ports pid port;
-        Hashtbl.replace listeners pid sock;
-        Option.iter (fun f -> f pid port) on_bind;
-        let accept_loop () =
-          try
-            while not !closed do
-              let conn, _ = Unix.accept sock in
-              Mutex.lock track_mutex;
-              Hashtbl.replace accepted conn ();
-              Mutex.unlock track_mutex;
-              track_thread (Thread.create (fun () -> reader ~dst:pid conn) ())
-            done
-          with Unix.Unix_error _ | Sys_error _ -> ()
-        in
-        track_thread (Thread.create accept_loop ()))
-      pids;
-
-    let connect ~src ~dst ~port =
-      Mutex.lock conns_mutex;
-      let result =
-        match Hashtbl.find_opt conns (src, dst) with
-        | Some c -> Some c
-        | None ->
-          let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try
-             Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-             (* Consensus frames are small and latency-bound; Nagle +
-                delayed ACK would add tens of milliseconds per step. *)
-             Unix.setsockopt sock Unix.TCP_NODELAY true;
-             let oc = Unix.out_channel_of_descr sock in
-             let entry = (oc, Mutex.create ()) in
-             Hashtbl.replace conns (src, dst) entry;
-             Mutex.lock ever_mutex;
-             let again = Hashtbl.mem ever_connected (src, dst) in
-             if not again then Hashtbl.replace ever_connected (src, dst) ();
-             Mutex.unlock ever_mutex;
-             if again then Links.record_reconnect links dst;
-             Some entry
-           with Unix.Unix_error _ ->
-             (try Unix.close sock with Unix.Unix_error _ -> ());
-             None)
-      in
-      Mutex.unlock conns_mutex;
-      result
-    in
-
-    (* Forget a connection observed broken — but only if nobody replaced it
-       since (a racing sender may already have reconnected). *)
-    let disconnect ~src ~dst oc =
-      Mutex.lock conns_mutex;
-      (match Hashtbl.find_opt conns (src, dst) with
-      | Some (oc', _) when oc' == oc ->
-        Hashtbl.remove conns (src, dst);
-        (try close_out_noerr oc with Sys_error _ -> ())
-      | _ -> ());
-      Mutex.unlock conns_mutex
-    in
-
-    let send ~src ~dst msg =
-      match Hashtbl.find_opt ports dst with
-      | None ->
-        (* Destination was never part of the mesh: nothing to retry. *)
-        Links.record_drop links dst
-      | Some port ->
-        let rec attempt k =
-          if !closed then ()
-          else
-            let sent =
-              match connect ~src ~dst ~port with
-              | None -> false
-              | Some (oc, oc_mutex) ->
-                Mutex.lock oc_mutex;
-                let ok =
-                  try
-                    write_frame oc (src, msg);
-                    true
-                  with Sys_error _ | Unix.Unix_error _ -> false
-                in
-                Mutex.unlock oc_mutex;
-                if not ok then disconnect ~src ~dst oc;
-                ok
-            in
-            if not sent then
-              if k < Array.length retry_backoffs then begin
-                Links.record_backoff links dst;
-                Thread.delay retry_backoffs.(k);
-                attempt (k + 1)
-              end
-              else Links.record_drop links dst
-        in
-        if not !closed then attempt 0
-    in
-    let recv ~me ~timeout =
-      match Hashtbl.find_opt boxes me with
-      | None -> None
-      | Some box -> Mailbox.pop ~timeout box
-    in
-    let close () =
-      if not !closed then begin
-        closed := true;
-        (* Shut the listeners down before closing: a thread blocked in
-           [accept] holds the open file description alive past [close], so
-           the port would accept one more connection; [shutdown] wakes it
-           immediately and refuses new connects. *)
-        Hashtbl.iter
-          (fun _ sock ->
-            (try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-            try Unix.close sock with Unix.Unix_error _ -> ())
-          listeners;
-        Mutex.lock conns_mutex;
-        Hashtbl.iter
-          (fun _ (oc, _) -> try close_out oc with Sys_error _ -> ())
-          conns;
-        Mutex.unlock conns_mutex;
-        (* Wake readers blocked on accepted sockets, then join everything:
-           acceptors exit on the dead listener, readers on the shutdown. *)
-        Mutex.lock track_mutex;
-        Hashtbl.iter
-          (fun sock () ->
-            try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-          accepted;
-        let to_join = !threads in
-        threads := [];
-        Mutex.unlock track_mutex;
-        List.iter Thread.join to_join;
-        Mutex.lock track_mutex;
-        Hashtbl.iter (fun sock () -> try Unix.close sock with Unix.Unix_error _ -> ()) accepted;
-        Hashtbl.reset accepted;
-        Mutex.unlock track_mutex;
-        Hashtbl.iter (fun _ box -> Mailbox.close box) boxes
-      end
-    in
-    {
-      send;
-      recv;
-      close;
-      drop_count = (fun ~dst -> Links.drop_count links dst);
-      link_stats = (fun () -> Links.totals links);
-      peer_links = (fun () -> Links.per_peer links);
-    }
-end
-
-module Tcp = struct
-  (* Frames are [Marshal]ed (src, msg) pairs over persistent loopback
-     connections — only type-safe between identical binaries; see the
-     interface. *)
-  let create ?metrics ~pids () =
-    let write_frame oc (src, msg) =
-      Marshal.to_channel oc (src, msg) [];
-      flush oc
-    in
-    let read_frame ic = (Marshal.from_channel ic : Pid.t * _) in
-    Tcp_generic.create ~write_frame ~read_frame ?metrics ~pids ()
-end
-
 (* Reactor-driven TCP with typed codec frames: every socket is nonblocking
    and registered on one shared event loop — no thread per connection, no
    thread per accept loop, no watcher thread per mailbox. Outbound frames
@@ -619,7 +382,7 @@ end
    (including a partially-written head, resent whole — the peer discards
    the partial tail with the dead connection) are replayed on the fresh
    one. *)
-module Tcp_reactor = struct
+module Tcp_codec = struct
   type out_pending = {
     mutable queued : string list;  (** newest first *)
     mutable attempt : int;
@@ -632,7 +395,13 @@ module Tcp_reactor = struct
 
   let max_down_queue = 4096
 
-  let create ~codec ?metrics ?(remotes = []) ?on_bind ~reactor ?reactor_for ~pids () =
+  (* Outbound send failures are retried with a fresh connection and a short
+     backoff before a message is abandoned: a peer restarting its listener,
+     or a reader torn down over one malformed frame, costs a reconnect
+     instead of silently severing the link forever. *)
+  let retry_backoffs = [| 0.001; 0.005; 0.02 |]
+
+  let create ~codec ?metrics ?faults ?(remotes = []) ?on_bind ~reactor ?reactor_for ~pids () =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
     (* I/O sharding: [reactor_for pid] is the loop that owns pid's inbound
        listener and accepted connections (and the outbound connections pid
@@ -702,11 +471,10 @@ module Tcp_reactor = struct
       Mutex.unlock state_mutex
 
     and schedule_retry ~src ~dst pending =
-      (* Caller holds state_mutex. Mirrors the threaded path's budget: every
-         scheduled wait is a recorded backoff; the budget exhausts into
-         drops. *)
+      (* Caller holds state_mutex. Every scheduled wait is a recorded
+         backoff; the budget exhausts into drops. *)
       Links.record_backoff links dst;
-      let delay = Tcp_generic.retry_backoffs.(pending.attempt) in
+      let delay = retry_backoffs.(pending.attempt) in
       pending.retry <- Some (Reactor.after reactor delay (fun () -> retry ~src ~dst))
 
     and retry ~src ~dst =
@@ -727,7 +495,7 @@ module Tcp_reactor = struct
                note_hwm dst c
              | None ->
                pending.attempt <- pending.attempt + 1;
-               if pending.attempt >= Array.length Tcp_generic.retry_backoffs then begin
+               if pending.attempt >= Array.length retry_backoffs then begin
                  List.iter (fun _ -> Links.record_drop links dst) pending.queued;
                  Hashtbl.remove out (src, dst)
                end
@@ -919,29 +687,15 @@ module Tcp_reactor = struct
         Hashtbl.iter (fun _ box -> Mailbox.close box) boxes
       end
     in
-    {
-      send;
-      recv;
-      close;
-      drop_count = (fun ~dst -> Links.drop_count links dst);
-      link_stats = (fun () -> Links.totals links);
-      peer_links = (fun () -> Links.per_peer links);
-    }
-end
-
-module Tcp_codec = struct
-  let create ~codec ?metrics ?faults ?remotes ?on_bind ?reactor ?reactor_for ~pids () =
     let t =
-      match reactor with
-      | Some r ->
-        Tcp_reactor.create ~codec ?metrics ?remotes ?on_bind ~reactor:r ?reactor_for ~pids ()
-      | None ->
-        let frame_codec = Dex_codec.Codec.pair Dex_codec.Codec.int codec in
-        let write_frame oc (src, msg) =
-          Dex_codec.Codec.Frame.to_channel oc frame_codec (src, msg)
-        in
-        let read_frame ic = Dex_codec.Codec.Frame.from_channel ic frame_codec in
-        Tcp_generic.create ~write_frame ~read_frame ?metrics ?remotes ?on_bind ~pids ()
+      {
+        send;
+        recv;
+        close;
+        drop_count = (fun ~dst -> Links.drop_count links dst);
+        link_stats = (fun () -> Links.totals links);
+        peer_links = (fun () -> Links.per_peer links);
+      }
     in
     match faults with None -> t | Some plan -> with_faults plan t
 end

@@ -1,37 +1,24 @@
 open Dex_net
 
-(** Transport abstraction of the thread runtime.
+(** Transport abstraction of the cluster runtime.
 
     A transport routes [(src, msg)] envelopes between node endpoints. Two
     implementations:
 
     - {!Mem}: in-process mailboxes with optional random delivery jitter —
       the default for examples and tests;
-    - {!Tcp}: loopback TCP sockets with [Marshal]-encoded frames — every
-      message crosses a real kernel socket. Marshalling is only safe because
-      both ends run the same binary (documented trade-off; {!Tcp_codec}
-      swaps in a real codec at this interface).
+    - {!Tcp_codec}: TCP sockets driven by a {!Reactor} event loop, every
+      message framed with the protocol's typed codec — every message
+      crosses a real kernel socket, and a mesh can span processes.
 
     The runtime drives the same [Protocol.instance] values as the simulator:
     code under test is identical, only the scheduler differs. *)
-
-(** How the I/O of a component is driven: [Threads] is the classic
-    thread-per-connection runtime (blocking sockets, reader/acceptor
-    threads, condvar mailboxes); [Reactor] multiplexes the same traffic on
-    a {!Reactor} event loop (nonblocking sockets, frame coalescing, timer
-    wheel). The service layer and the CLI thread this choice through as
-    [--io-mode]. *)
-type io_mode = Threads | Reactor
-
-val io_mode_of_string : string -> io_mode option
-
-val io_mode_to_string : io_mode -> string
 
 type link_stats = {
   reconnects : int;
       (** TCP connects beyond the first per (src, dst) pair — each one means
           an established link was observed broken and rebuilt *)
-  backoffs : int;  (** retry sleeps taken by [send] before re-attempting *)
+  backoffs : int;  (** retry waits scheduled before re-attempting a connection *)
   drops : int;  (** total messages abandoned, all destinations *)
 }
 
@@ -100,12 +87,6 @@ module Mem : sig
       [faults] layers a fault plan over the mailboxes ({!with_faults}). *)
 end
 
-module Tcp : sig
-  val create : ?metrics:Dex_metrics.Registry.t -> pids:Pid.t list -> unit -> 'msg t
-  (** Binds one loopback listener per pid on ephemeral ports and connects a
-      full mesh lazily. @raise Unix.Unix_error when sockets are unavailable. *)
-end
-
 module Tcp_codec : sig
   val create :
     codec:'msg Dex_codec.Codec.t ->
@@ -113,16 +94,16 @@ module Tcp_codec : sig
     ?faults:Fault_plan.t ->
     ?remotes:(Pid.t * int) list ->
     ?on_bind:(Pid.t -> int -> unit) ->
-    ?reactor:Reactor.t ->
+    reactor:Reactor.t ->
     ?reactor_for:(Pid.t -> Reactor.t) ->
     pids:Pid.t list ->
     unit ->
     'msg t
-  (** Like {!Tcp} but frames every message with the given typed codec
-      instead of [Marshal]: a real wire format, safe across binaries, and
-      malformed frames from a peer tear down only that connection (the peer
-      is treated as Byzantine; the {e sender's} next message to it
-      transparently reconnects, see {!field-send}).
+  (** Loopback TCP with every message framed by the given typed codec: a
+      real wire format, safe across binaries. Malformed frames from a peer
+      tear down only that connection (the peer is treated as Byzantine;
+      the {e sender's} next message to it transparently reconnects, see
+      {!field-send}).
 
       [pids] are the {e local} endpoints: one loopback listener each, on an
       ephemeral port reported through [on_bind]. [remotes] maps pids served
@@ -131,15 +112,16 @@ module Tcp_codec : sig
       else's in [remotes]. Every protocol module exports its codec
       ([Dex.codec], [Bosco.codec], …).
 
-      With [reactor], the transport runs event-driven on that loop instead
-      of thread-per-connection: nonblocking sockets, incremental frame
-      reassembly ({!Dex_codec.Codec.Frame.Reader}), outbound queues that
-      coalesce multiple frames per [write] syscall, reconnect backoffs as
-      reactor timers, and one shared timer replacing the per-mailbox watcher
-      threads. Per-peer write-buffer high-water marks are mirrored to
-      [metrics] as [net/wbuf_hwm/peer<pid>]. The reactor is borrowed, not
-      owned: [close] deregisters everything but leaves the loop running for
-      its owner to stop.
+      The transport runs event-driven on [reactor]: nonblocking sockets,
+      incremental frame reassembly ({!Dex_codec.Codec.Frame.Reader}),
+      outbound queues that coalesce multiple frames per [write] syscall,
+      reconnect backoffs as reactor timers, and one shared timer that
+      re-checks every mailbox's receive deadline. Per-peer write-buffer
+      high-water marks are mirrored to [metrics] as
+      [net/wbuf_hwm/peer<pid>]. The reactor is borrowed, not owned: [close]
+      deregisters everything but leaves the loop running for its owner to
+      stop. Because the retry budget runs on reactor timers, the link
+      counters of a failed send settle after [send] returns.
 
       [reactor_for] (default: everything on [reactor]) shards the I/O of
       co-located endpoints over several loops: [reactor_for pid] owns pid's

@@ -1,113 +1,51 @@
 open Dex_runtime
 
-(* One connection to one replica: a blocking channel pair fed by a reader
-   thread (threaded mode), or an event-driven connection on the client's own
-   reactor (frames reassembled incrementally, writes coalesced). *)
-type io =
-  | Chan of { sock : Unix.file_descr; ic : in_channel; oc : out_channel }
-  | Evc of Reactor.Conn.t
-
-type conn = { io : io; mutable alive : bool }
-
+(* One event-driven connection per replica on the client's own reactor:
+   frames reassembled incrementally, writes coalesced. *)
 type t = {
   client : int;
-  conns : conn list;
+  conns : Reactor.Conn.t list;
   inbox : Wire.reply Mailbox.t;
-  reactor : Reactor.t option;  (* owned; [Some] iff io_mode = Reactor *)
-  mutable readers : Thread.t list;
+  reactor : Reactor.t;  (* owned *)
   mutable next_rid : int;
   mutable closed : bool;
 }
 
-let conn_alive c =
-  match c.io with Chan _ -> c.alive | Evc e -> Reactor.Conn.is_open e
+let dial r ~on_reply port =
+  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> None
+  | sock -> (
+    let frames = Dex_codec.Codec.Frame.Reader.create Wire.reply_codec in
+    let on_bytes buf len = List.iter on_reply (Dex_codec.Codec.Frame.Reader.feed frames buf len) in
+    match
+      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt sock Unix.TCP_NODELAY true;
+      Reactor.Conn.attach r sock ~on_bytes ~on_close:(fun () -> ())
+    with
+    | c -> Some c
+    | exception (Unix.Unix_error _ | Invalid_argument _) ->
+      (* [attach] refuses descriptors the reactor cannot select on; the
+         socket is still ours to close. *)
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      None)
 
-let reader t conn ic () =
-  (try
-     while not t.closed do
-       Mailbox.push t.inbox (Wire.read_reply ic)
-     done
-   with
-  | End_of_file | Sys_error _ | Unix.Unix_error _ | Dex_codec.Codec.Decode_error _ -> ());
-  conn.alive <- false
-
-let connect ?(io_mode = Transport.Reactor) ~client ports =
+let connect ~client ports =
   if ports = [] then invalid_arg "Client.connect: no server ports";
-  let reactor =
-    match io_mode with
-    | Transport.Threads -> None
-    | Transport.Reactor -> Some (Reactor.create ~name:"client" ())
-  in
+  let reactor = Reactor.create ~name:"client" () in
   let inbox = Mailbox.create () in
-  let conns =
-    List.filter_map
-      (fun port ->
-        try
-          let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try
-             Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-             Unix.setsockopt sock Unix.TCP_NODELAY true
-           with e ->
-             (try Unix.close sock with Unix.Unix_error _ -> ());
-             raise e);
-          match reactor with
-          | None ->
-            Some
-              {
-                io =
-                  Chan
-                    {
-                      sock;
-                      ic = Unix.in_channel_of_descr sock;
-                      oc = Unix.out_channel_of_descr sock;
-                    };
-                alive = true;
-              }
-          | Some r ->
-            let frames = Dex_codec.Codec.Frame.Reader.create Wire.reply_codec in
-            let on_bytes buf len =
-              List.iter (Mailbox.push inbox) (Dex_codec.Codec.Frame.Reader.feed frames buf len)
-            in
-            let e = Reactor.Conn.attach r sock ~on_bytes ~on_close:(fun () -> ()) in
-            Some { io = Evc e; alive = true }
-        with Unix.Unix_error _ | Invalid_argument _ -> None)
-      ports
-  in
+  let conns = List.filter_map (dial reactor ~on_reply:(Mailbox.push inbox)) ports in
   if conns = [] then begin
-    Option.iter Reactor.stop reactor;
+    Reactor.stop reactor;
     invalid_arg "Client.connect: no server reachable"
   end;
-  let t = { client; conns; inbox; reactor; readers = []; next_rid = 0; closed = false } in
-  t.readers <-
-    List.filter_map
-      (fun conn ->
-        match conn.io with
-        | Chan { ic; _ } -> Some (Thread.create (reader t conn ic) ())
-        | Evc _ -> None)
-      t.conns;
-  t
+  { client; conns; inbox; reactor; next_rid = 0; closed = false }
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Mailbox.close t.inbox;
-    List.iter
-      (fun conn ->
-        match conn.io with
-        | Chan { sock; _ } -> (
-          try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        | Evc e -> Reactor.Conn.close e)
-      t.conns;
-    (* Readers unblock on the shutdown; join them, then close. *)
-    List.iter Thread.join t.readers;
-    t.readers <- [];
-    List.iter
-      (fun conn ->
-        match conn.io with
-        | Chan { sock; _ } -> ( try Unix.close sock with Unix.Unix_error _ -> ())
-        | Evc _ -> ())
-      t.conns;
-    Option.iter Reactor.stop t.reactor
+    List.iter Reactor.Conn.close t.conns;
+    Reactor.stop t.reactor
   end
 
 type result = {
@@ -118,29 +56,18 @@ type result = {
   retries : int;
 }
 
-(* Buffered write of one request; pair with [flush_conn] once per wave. On
-   an event-driven connection the enqueue is the whole job and the flush
-   pumps the wave out coalesced, from this thread, in one [write]. *)
-let write_conn conn req =
-  match conn.io with
-  | Chan { oc; _ } -> (
-    try Wire.write_request oc req with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false)
-  | Evc e -> Reactor.Conn.buffer e (Dex_codec.Codec.Frame.to_string Wire.request_codec req)
+(* Buffered write of one request to every live connection; pair with
+   [flush_all] once per wave, which pumps the wave out coalesced, from this
+   thread, in one [write] per connection. *)
+let write_all t req =
+  let frame = Dex_codec.Codec.Frame.to_string Wire.request_codec req in
+  List.iter (fun c -> if Reactor.Conn.is_open c then Reactor.Conn.buffer c frame) t.conns
 
-let flush_conn conn =
-  match conn.io with
-  | Chan { oc; _ } -> (
-    try flush oc with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false)
-  | Evc e -> Reactor.Conn.pump e
+let flush_all t = List.iter (fun c -> if Reactor.Conn.is_open c then Reactor.Conn.pump c) t.conns
 
 let send_all t req =
-  List.iter
-    (fun conn ->
-      if conn_alive conn then begin
-        write_conn conn req;
-        flush_conn conn
-      end)
-    t.conns
+  write_all t req;
+  flush_all t
 
 (* Submit-to-all, first-commit-wins. Replies for older rids (every replica
    answers every request it applies) are drained and ignored; [Busy] from a
@@ -282,12 +209,6 @@ module Load = struct
     let in_flight : (int * int, float * float * Wire.request) Hashtbl.t =
       Hashtbl.create (2 * clients)
     in
-    let write_req req =
-      List.iter (fun conn -> if conn_alive conn then write_conn conn req) t.conns
-    in
-    let flush_all () =
-      List.iter (fun conn -> if conn_alive conn then flush_conn conn) t.conns
-    in
     let issue idx =
       rids.(idx) <- rids.(idx) + 1;
       let cid = t.client + idx in
@@ -295,7 +216,7 @@ module Load = struct
       incr issued;
       let now = Unix.gettimeofday () in
       Hashtbl.replace in_flight (cid, rids.(idx)) (now, now, req);
-      write_req req
+      write_all t req
     in
     let started = Unix.gettimeofday () in
     let deadline = started +. duration in
@@ -320,7 +241,7 @@ module Load = struct
     for idx = 0 to clients - 1 do
       issue idx
     done;
-    flush_all ();
+    flush_all t;
     while Unix.gettimeofday () < deadline do
       let remaining = deadline -. Unix.gettimeofday () in
       (match Mailbox.pop ~timeout:(Float.min 0.05 remaining) t.inbox with
@@ -350,9 +271,9 @@ module Load = struct
           (fun (key, start, req) ->
             incr retries;
             Hashtbl.replace in_flight key (start, now, req);
-            write_req req)
+            write_all t req)
           overdue);
-      flush_all ()
+      flush_all t
     done;
     let wall = Unix.gettimeofday () -. started in
     finalize ~issued:!issued ~duration:wall ~latencies:!latencies ~hist

@@ -12,13 +12,24 @@
 
 type t
 
-val connect : ?io_mode:Dex_runtime.Transport.io_mode -> client:int -> int list -> t
+val connect : client:int -> int list -> t
 (** [connect ~client ports] dials every port on loopback. [client] must be
-    unique per deployment (it keys the servers' session tables). [io_mode]
-    (default [Reactor]) picks the receive machinery: one blocking reader
-    thread per connection, or the client's own event loop with incremental
-    frame reassembly and coalesced writes.
+    unique per deployment (it keys the servers' session tables). Replies
+    arrive on the client's own event loop, with incremental frame
+    reassembly and coalesced writes.
     @raise Invalid_argument if no port is reachable. *)
+
+val dial :
+  Dex_runtime.Reactor.t ->
+  on_reply:(Wire.reply -> unit) ->
+  int ->
+  Dex_runtime.Reactor.Conn.t option
+(** [dial r ~on_reply port] connects to a loopback service port with
+    [TCP_NODELAY], attaches the socket to [r] and hands every reassembled
+    reply frame to [on_reply] (on [r]'s loop thread). [None] when the port
+    is unreachable or [r] refuses the descriptor (above
+    {!Dex_runtime.Reactor.max_fds}); the socket is closed on every failure.
+    The dial path shared by {!connect} and the sharded router. *)
 
 val close : t -> unit
 

@@ -58,9 +58,9 @@ let create ?dir ~segment_bytes ~metrics () =
 
 let enabled t = t.wal <> None
 
-let start_group_commit ?reactor t ~delay ~cap ~on_durable =
+let start_group_commit ~reactor t ~delay ~cap ~on_durable =
   match t.wal with
-  | Some wal -> t.syncer <- Some (Wal.syncer ~delay ~cap ?reactor wal ~on_durable)
+  | Some wal -> t.syncer <- Some (Wal.syncer ~delay ~cap ~reactor wal ~on_durable)
   | None -> ()
 
 let wal_lsn t = t.wal_lsn

@@ -139,7 +139,6 @@ module Make (L : PL.LANE) = struct
     t : int;
     seed : int;
     pair : int -> Pair.t;
-    io_mode : Transport.io_mode;
     window : int;
     slots : int;
     batch_cap : int;
@@ -161,7 +160,7 @@ module Make (L : PL.LANE) = struct
     dissemination : Dex_erasure.Dissemination.mode;
   }
 
-  let config ?(seed = 0) ?(io_mode = Transport.Reactor) ?(window = 8) ?(slots = 1 lsl 20) ?(batch_cap = 256)
+  let config ?(seed = 0) ?(window = 8) ?(slots = 1 lsl 20) ?(batch_cap = 256)
       ?(batch_delay = 0.002) ?(settle = 0.0001) ?(queue_cap = 4096) ?(fetch_retry = 0.05)
       ?(retain = 256) ?(commit_log_cap = 1 lsl 16) ?data_dir
       ?(wal_segment_bytes = 4 * 1024 * 1024) ?(group_commit = true) ?(sync_delay = 0.001)
@@ -181,7 +180,7 @@ module Make (L : PL.LANE) = struct
     if catchup_cap < 1 then invalid_arg "Server.config: catchup_cap must be >= 1";
     if catchup_retry <= 0.0 then invalid_arg "Server.config: catchup_retry must be > 0";
     if catchup_grace <= 0.0 then invalid_arg "Server.config: catchup_grace must be > 0";
-    { n; t; seed; pair; io_mode; window; slots; batch_cap; batch_delay; settle; queue_cap; fetch_retry;
+    { n; t; seed; pair; window; slots; batch_cap; batch_delay; settle; queue_cap; fetch_retry;
       retain; commit_log_cap; data_dir; wal_segment_bytes; group_commit; sync_delay; sync_cap;
       snapshot_every; catchup_cap; catchup_retry; catchup_grace; dissemination }
 
@@ -229,12 +228,6 @@ module Make (L : PL.LANE) = struct
     state_transfers : int;  (** snapshots installed from a peer *)
     snapshots : int;  (** snapshots installed locally *)
   }
-
-  (* Where a client's replies go: a buffered [out_channel] owned by a
-     reader thread (threaded service, flushed per wave via [dirty]), or an
-     event-driven connection (flushed per wave via [dirty_ev]: one pumped,
-     coalesced [write] instead of a reactor loop turn). *)
-  type sink = Chan of out_channel | Evc of Reactor.Conn.t
 
   (* State and counters of the dissemination lane. In coded mode the fetch
      path pulls distinct fragments from distinct peers and reconstructs;
@@ -290,10 +283,10 @@ module Make (L : PL.LANE) = struct
        client retries are idempotent, and a reply never leaves before its
        record is on disk. *)
     sessions : (int, int * Wire.outcome * int) Hashtbl.t;
-    conns : (int, sink) Hashtbl.t;  (* client -> latest reply sink *)
-    dirty : (out_channel, unit) Hashtbl.t;  (* channels with unflushed replies *)
-    dirty_ev : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
-        (* event-driven conns with unpumped replies *)
+    conns : (int, Reactor.Conn.t) Hashtbl.t;  (* client -> latest reply connection *)
+    dirty : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
+        (* connections with unpumped replies, pumped once per wave: one
+           coalesced [write] instead of a reactor loop turn *)
     commit_buf : (int, int * Dex_core.Dex.provenance) Hashtbl.t;  (* slot -> commit *)
     unresolved : (int, unit) Hashtbl.t;  (* digests being fetched *)
     outbox : smsg Protocol.action list ref;  (* actions produced by callbacks *)
@@ -328,19 +321,16 @@ module Make (L : PL.LANE) = struct
     mutable running : bool;
     mutable listener : Unix.file_descr option;
     mutable service_port : int option;
-    mutable client_socks : Unix.file_descr list;
-    mutable threads : Thread.t list;
-    (* Event-driven service (io_mode = Reactor): the replica's own loop —
-       client I/O, batcher cadence and the WAL group-commit timer all run
-       on it. [None] in threaded mode. *)
-    service_reactor : Reactor.t option;
+    (* The replica's own loop: client I/O, batcher cadence and the WAL
+       group-commit timer all run on it. *)
+    service_reactor : Reactor.t;
     (* Whether this replica created [service_reactor] (and so must stop it)
        or borrowed a shared loop from the deployment (which stops it). *)
     owns_reactor : bool;
     mutable client_conns : Reactor.Conn.t list;
     mutable batch_timer : Reactor.timer option;
     mutable cut_armed : bool;  (* a one-shot cut timer is outstanding *)
-    (* The outstanding one-shot cut timer itself, so [stop_threads] can
+    (* The outstanding one-shot cut timer itself, so [stop_service] can
        cancel it: the reactor may outlive this replica incarnation
        (crash/restart under a shared loop), and an orphaned cut timer must
        not tick a dead — or worse, restarted — instance's batcher. *)
@@ -351,13 +341,8 @@ module Make (L : PL.LANE) = struct
        drained), so the margin widens multiplicatively; one-step commits
        decay it back toward the floor. In-process waves keep it at the floor
        (~0.1 ms); cross-process saturation finds the knee where cuts land in
-       wave gaps again. Threaded mode never reads it. *)
+       wave gaps again. *)
     mutable cut_margin : float;
-    (* Installed by the server's event-driven service: arm a one-shot batch
-       cut for the moment the pending set becomes settle-eligible. Called
-       under [lock]; a no-op in threaded mode (the periodic batcher tick
-       does the cutting there). *)
-    mutable schedule_cut : t -> unit;
     g_client_hwm : Registry.gauge;
         (* high-water mark of client-connection write buffers (bytes) *)
   }
@@ -441,22 +426,98 @@ module Make (L : PL.LANE) = struct
     Mutex.unlock t.lock;
     d
 
+  (* Retire batch content nobody can still ask for: digests whose newest
+     reference trails the apply frontier by more than [retain] slots. The
+     coded lane's tables (fragment pools, encode cache) ride the same
+     horizon — except pools still being fetched, which stay pinned. *)
+  let gc_store_locked t =
+    let floor = t.apply_next - t.cfg.retain in
+    let stale =
+      Hashtbl.fold
+        (fun digest last acc -> if last < floor then digest :: acc else acc)
+        t.last_use []
+    in
+    List.iter
+      (fun digest ->
+        Hashtbl.remove t.store digest;
+        Hashtbl.remove t.last_use digest)
+      stale;
+    let dead tbl =
+      Hashtbl.fold
+        (fun digest _ acc ->
+          if
+            (not (Hashtbl.mem t.unresolved digest))
+            && not (Hashtbl.mem t.last_use digest)
+          then digest :: acc
+          else acc)
+        tbl []
+    in
+    List.iter (clear_frag_state_locked t) (dead t.dl.frags);
+    List.iter (fun digest -> Hashtbl.remove t.dl.enc_cache digest) (dead t.dl.enc_cache)
+
+  (* One batcher tick: decide via {!Batcher.tick} under the lock, then
+     self-send the release / watchdog messages outside it. *)
+  let batcher_tick t =
+    Mutex.lock t.lock;
+    let now = Unix.gettimeofday () in
+    let { Batcher.fire; wedged } =
+      Batcher.tick ~now
+        ~catching_up:(Catch_up.active t.cu)
+        ~backlog:(Admission.size t.admission)
+        ~oldest:(Admission.oldest t.admission)
+        ~settle:t.cfg.settle ~batch_delay:t.cfg.batch_delay ~catchup_retry:t.cfg.catchup_retry
+        ~idle:(t.next_slot = t.apply_next)
+        ~outstanding:(t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
+        ~last_progress:t.last_progress ~last_watchdog:t.last_watchdog
+    in
+    if fire then t.last_progress <- now;
+    if wedged then t.last_watchdog <- now;
+    let upto = t.next_slot + 1 in
+    gc_store_locked t;
+    Mutex.unlock t.lock;
+    if fire then t.transport.Transport.send ~src:t.me ~dst:t.me (Log_msg (Log.release upto));
+    if wedged then t.transport.Transport.send ~src:t.me ~dst:t.me (Catch_up (-1))
+
+  (* One-shot cut timer, armed under [t.lock]: fire when the just-admitted
+     request (or the oldest pending one) turns settle-eligible, with a small
+     margin so the tick lands on the eligible side of the cutoff. The
+     server's periodic batch timer remains the safety net (watchdog, GC,
+     missed edges), so a timer that fires fractionally early costs one
+     cadence. A no-op until the server starts the service. *)
+  let arm_cut t =
+    if t.running && not t.cut_armed then begin
+      t.cut_armed <- true;
+      let oldest = Admission.oldest t.admission in
+      let margin = t.cut_margin in
+      let delay =
+        if oldest = Float.infinity then t.cfg.settle +. margin
+        else Float.max margin (t.cfg.settle -. (Unix.gettimeofday () -. oldest) +. margin)
+      in
+      (* Tracked (in [t.cut_timer]) so the server's stop can cancel it, and
+         the callback re-checks [running]: the reactor can outlive this
+         replica incarnation under crash/restart, and an orphaned one-shot
+         must not tick a stopped instance's batcher. *)
+      t.cut_timer <-
+        Some
+          (Reactor.after t.service_reactor delay (fun () ->
+               Mutex.lock t.lock;
+               t.cut_armed <- false;
+               t.cut_timer <- None;
+               let live = t.running in
+               Mutex.unlock t.lock;
+               if live then batcher_tick t))
+    end
+
   (* All socket replies happen under [t.lock]; [conns] holds the most recent
-     sink a client spoke on. A dead client costs one failed write (threaded)
-     or a silent drop (event-driven). *)
+     connection a client spoke on. A dead client costs a silent drop. *)
   let reply_locked t ~client ~rid outcome =
     match Hashtbl.find_opt t.conns client with
     | None -> ()
-    | Some (Chan oc) -> (
-      try
-        Wire.write_reply oc { Wire.client; rid; outcome };
-        Hashtbl.replace t.dirty oc ()
-      with Sys_error _ | Unix.Unix_error _ -> Hashtbl.remove t.conns client)
-    | Some (Evc c) ->
+    | Some c ->
       if Reactor.Conn.is_open c then begin
         Reactor.Conn.buffer c
           (Dex_codec.Codec.Frame.to_string Wire.reply_codec { Wire.client; rid; outcome });
-        Hashtbl.replace t.dirty_ev (Reactor.Conn.fd c) c
+        Hashtbl.replace t.dirty (Reactor.Conn.fd c) c
       end
       else Hashtbl.remove t.conns client
 
@@ -466,13 +527,11 @@ module Make (L : PL.LANE) = struct
     Durability_lane.gate t.lane ~client ~rid ~lsn outcome ~reply:(fun ~client ~rid outcome ->
         reply_locked t ~client ~rid outcome)
 
-  (* Reply writes are buffered; one flush per wave of replies (an applied
-     batch touches many clients over few channels). *)
+  (* Reply writes are buffered; one pump per wave of replies (an applied
+     batch touches many clients over few connections). *)
   let flush_dirty_locked t =
-    Hashtbl.iter (fun oc () -> try flush oc with Sys_error _ | Unix.Unix_error _ -> ()) t.dirty;
-    Hashtbl.reset t.dirty;
-    Hashtbl.iter (fun _ c -> Reactor.Conn.pump c) t.dirty_ev;
-    Hashtbl.reset t.dirty_ev
+    Hashtbl.iter (fun _ c -> Reactor.Conn.pump c) t.dirty;
+    Hashtbl.reset t.dirty
 
   (* Syncer callback (runs on the syncer thread): the watermark advanced, so
      release every reply it now covers. Lock order: the server lock is taken
@@ -671,7 +730,7 @@ module Make (L : PL.LANE) = struct
       (* Requests admitted while this slot was in flight were held back by
          the batcher's [idle] gate: re-arm the cut now that the log is
          locally quiet again. *)
-      if Admission.size t.admission > 0 then t.schedule_cut t;
+      if Admission.size t.admission > 0 then arm_cut t;
       Mutex.unlock t.lock
     end
 
@@ -1068,18 +1127,16 @@ module Make (L : PL.LANE) = struct
       Durability_lane.create ?dir:(replica_dir cfg me) ~segment_bytes:cfg.wal_segment_bytes
         ~metrics ()
     in
-    (* In event-driven mode the replica runs on one reactor: client I/O, the
-       batcher cadence and the WAL group-commit timer all land on it. By
-       default it owns a private loop (whose [reactor/*] gauges land in this
-       replica's registry); a sharded deployment passes [service_reactor] to
-       share loops across co-located replicas — borrowed, never stopped by
-       this replica. *)
+    (* The replica runs on one reactor: client I/O, the batcher cadence and
+       the WAL group-commit timer all land on it. By default it owns a
+       private loop (whose [reactor/*] gauges land in this replica's
+       registry); a sharded deployment passes [service_reactor] to share
+       loops across co-located replicas — borrowed, never stopped by this
+       replica. *)
     let owns_reactor, service_reactor =
-      match (cfg.io_mode, shared_loop) with
-      | Transport.Threads, _ -> (false, None)
-      | Transport.Reactor, Some r -> (false, Some r)
-      | Transport.Reactor, None ->
-        (true, Some (Reactor.create ~metrics ~name:(Printf.sprintf "replica-%d" me) ()))
+      match shared_loop with
+      | Some r -> (false, r)
+      | None -> (true, Reactor.create ~metrics ~name:(Printf.sprintf "replica-%d" me) ())
     in
     let t =
       {
@@ -1116,7 +1173,6 @@ module Make (L : PL.LANE) = struct
         sessions = Hashtbl.create 64;
         conns = Hashtbl.create 64;
         dirty = Hashtbl.create 8;
-        dirty_ev = Hashtbl.create 8;
         commit_buf = Hashtbl.create 64;
         unresolved = Hashtbl.create 8;
         outbox = ref [];
@@ -1146,8 +1202,6 @@ module Make (L : PL.LANE) = struct
         running = false;
         listener = None;
         service_port = None;
-        client_socks = [];
-        threads = [];
         service_reactor;
         owns_reactor;
         client_conns = [];
@@ -1155,7 +1209,6 @@ module Make (L : PL.LANE) = struct
         cut_armed = false;
         cut_timer = None;
         cut_margin = 0.0001;
-        schedule_cut = (fun _ -> ());
         g_client_hwm = Registry.gauge metrics "service/client_wbuf_hwm";
       }
     in
@@ -1163,7 +1216,7 @@ module Make (L : PL.LANE) = struct
     Registry.gauge_fn metrics "service/apply_lag" (fun () -> Hashtbl.length t.commit_buf);
     replay t recovered;
     if cfg.group_commit then
-      Durability_lane.start_group_commit ?reactor:service_reactor lane ~delay:cfg.sync_delay
+      Durability_lane.start_group_commit ~reactor:service_reactor lane ~delay:cfg.sync_delay
         ~cap:cfg.sync_cap ~on_durable:(on_durable t);
     let want_catchup =
       match catchup with Some c -> c | None -> recovered.Durability_lane.had_state
@@ -1403,9 +1456,9 @@ module Make (L : PL.LANE) = struct
 
   (* --------------------------- service hooks ----------------------------- *)
 
-  let handle_request t ~sink (r : Wire.request) =
+  let handle_request t ~conn (r : Wire.request) =
     Mutex.lock t.lock;
-    Hashtbl.replace t.conns r.Wire.client sink;
+    Hashtbl.replace t.conns r.Wire.client conn;
     (match Hashtbl.find_opt t.sessions r.Wire.client with
     | Some (last, cached, cached_lsn) when r.Wire.rid <= last ->
       (* Idempotent retry: answer from the session cache (stale rids below
@@ -1426,7 +1479,7 @@ module Make (L : PL.LANE) = struct
         | Admission.Admitted ->
           (* Event-driven cut: fire when this request turns settle-eligible
              instead of waiting for the next periodic tick. *)
-          t.schedule_cut t
+          arm_cut t
         | Admission.Duplicate -> ()
         | Admission.Overflow ->
           Registry.incr t.c_busy;
@@ -1434,35 +1487,6 @@ module Make (L : PL.LANE) = struct
       end);
     flush_dirty_locked t;
     Mutex.unlock t.lock
-
-  (* Retire batch content nobody can still ask for: digests whose newest
-     reference trails the apply frontier by more than [retain] slots. The
-     coded lane's tables (fragment pools, encode cache) ride the same
-     horizon — except pools still being fetched, which stay pinned. *)
-  let gc_store_locked t =
-    let floor = t.apply_next - t.cfg.retain in
-    let stale =
-      Hashtbl.fold
-        (fun digest last acc -> if last < floor then digest :: acc else acc)
-        t.last_use []
-    in
-    List.iter
-      (fun digest ->
-        Hashtbl.remove t.store digest;
-        Hashtbl.remove t.last_use digest)
-      stale;
-    let dead tbl =
-      Hashtbl.fold
-        (fun digest _ acc ->
-          if
-            (not (Hashtbl.mem t.unresolved digest))
-            && not (Hashtbl.mem t.last_use digest)
-          then digest :: acc
-          else acc)
-        tbl []
-    in
-    List.iter (clear_frag_state_locked t) (dead t.dl.frags);
-    List.iter (fun digest -> Hashtbl.remove t.dl.enc_cache digest) (dead t.dl.enc_cache)
 
   (* The fsyncs of a snapshot install (tmp write + rename + dir sync + WAL
      truncation) run here, off the apply path; capture happened under the
@@ -1478,29 +1502,6 @@ module Make (L : PL.LANE) = struct
     | Some (slot, payload, covering_lsn) ->
       Durability_lane.install_capture t.lane ~slot ~payload ~covering_lsn
     | None -> ()
-
-  (* One batcher-thread tick: decide via {!Batcher.tick} under the lock,
-     then self-send the release / watchdog messages outside it. *)
-  let batcher_tick t =
-    Mutex.lock t.lock;
-    let now = Unix.gettimeofday () in
-    let { Batcher.fire; wedged } =
-      Batcher.tick ~now
-        ~catching_up:(Catch_up.active t.cu)
-        ~backlog:(Admission.size t.admission)
-        ~oldest:(Admission.oldest t.admission)
-        ~settle:t.cfg.settle ~batch_delay:t.cfg.batch_delay ~catchup_retry:t.cfg.catchup_retry
-        ~idle:(t.next_slot = t.apply_next)
-        ~outstanding:(t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
-        ~last_progress:t.last_progress ~last_watchdog:t.last_watchdog
-    in
-    if fire then t.last_progress <- now;
-    if wedged then t.last_watchdog <- now;
-    let upto = t.next_slot + 1 in
-    gc_store_locked t;
-    Mutex.unlock t.lock;
-    if fire then t.transport.Transport.send ~src:t.me ~dst:t.me (Log_msg (Log.release upto));
-    if wedged then t.transport.Transport.send ~src:t.me ~dst:t.me (Catch_up (-1))
 
   (* ------------------------------ observation ----------------------------- *)
 

@@ -3,10 +3,12 @@
     {!Batcher}, {!Durability_lane}, {!Catch_up}).
 
     This module owns everything about a replica that does not touch a
-    socket: {!Server} layers the TCP service (listener, connection readers,
-    the batcher thread) and deployment helpers on top. The split line is
-    exactly the replica lock — all state here is driven under [t.lock],
-    while the server owns the threads that call in.
+    socket: {!Server} layers the TCP service (listener, client connections,
+    the batch timer) and deployment helpers on top. The split line is
+    exactly the replica lock — all state here is driven under [t.lock].
+    Two threads call in: the {!Dex_runtime.Cluster} node thread runs the
+    consensus callbacks, and the replica's reactor runs client I/O, batch
+    cuts and WAL group commit.
 
     Every replica carries its own {!Dex_metrics.Registry} ({!metrics}):
     the [service/*] counters and gauges below, the [wal/*] family from its
@@ -60,9 +62,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     t : int;
     seed : int;
     pair : int -> Pair.t;
-    io_mode : Transport.io_mode;
-        (** how the service and durability cadences are driven: dedicated
-            threads, or one reactor per replica (the default) *)
     window : int;
     slots : int;
     batch_cap : int;  (** max requests per proposed batch *)
@@ -90,7 +89,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   val config :
     ?seed:int ->
-    ?io_mode:Transport.io_mode ->
     ?window:int ->
     ?slots:int ->
     ?batch_cap:int ->
@@ -146,11 +144,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     snapshots : int;  (** snapshots installed locally *)
   }
 
-  (** Where a client's replies go: a buffered [out_channel] owned by a
-      reader thread (threaded service), or an event-driven connection whose
-      frames the reactor coalesces ({!Dex_runtime.Reactor.Conn}). *)
-  type sink = Chan of out_channel | Evc of Dex_runtime.Reactor.Conn.t
-
   type dissem_lane
   (** State and counters of the dissemination lane (fragment pools, encode
       cache, fallback bookkeeping). Opaque: driven entirely by the replica
@@ -172,9 +165,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     store : (int, Batch.t) Hashtbl.t;
     last_use : (int, int) Hashtbl.t;
     sessions : (int, int * Wire.outcome * int) Hashtbl.t;
-    conns : (int, sink) Hashtbl.t;
-    dirty : (out_channel, unit) Hashtbl.t;
-    dirty_ev : (Unix.file_descr, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
+    conns : (int, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
+    dirty : (Unix.file_descr, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
     commit_buf : (int, int * Dex_core.Dex.provenance) Hashtbl.t;
     unresolved : (int, unit) Hashtbl.t;
     outbox : smsg Protocol.action list ref;
@@ -200,10 +192,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     mutable running : bool;
     mutable listener : Unix.file_descr option;
     mutable service_port : int option;
-    mutable client_socks : Unix.file_descr list;
-    mutable threads : Thread.t list;
-    service_reactor : Dex_runtime.Reactor.t option;
-        (** the replica's event loop; [None] in threaded mode *)
+    service_reactor : Dex_runtime.Reactor.t;
+        (** the replica's event loop: client I/O, batch cuts, WAL group
+            commit *)
     owns_reactor : bool;
         (** whether the replica created [service_reactor] (private loop, the
             server stops it) or borrowed a shared one (its owner stops it) *)
@@ -217,9 +208,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
         (** adaptive extra delay on the one-shot cut timer: widened on
             underlying-provenance commits (divergent cuts), decayed on
             one-step commits; bounded [0.1 ms, 2 ms] *)
-    mutable schedule_cut : t -> unit;
-        (** event-driven batch-cut hook, installed by the server's reactor
-            service; called under [lock]; no-op in threaded mode *)
     g_client_hwm : Dex_metrics.Registry.gauge;
   }
 
@@ -233,24 +221,24 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** Build the replica core: recovers durable state (when [data_dir] is
       set), starts the group-commit syncer, and arms the catch-up gate when
       [catchup] is true (default: whenever recovery found prior state).
-      [service_reactor] (reactor mode only) runs this replica on a shared,
+      [service_reactor] runs this replica on a shared,
       borrowed loop instead of a private one — sharded deployments use it to
       keep the loop count bounded by replica index, not shard count. The
       returned handlers plug into {!Dex_runtime.Cluster}. *)
 
-  val handle_request : t -> sink:sink -> Wire.request -> unit
-  (** A client request arrived on [sink]: session-cache retry, Busy while
+  val handle_request : t -> conn:Dex_runtime.Reactor.Conn.t -> Wire.request -> unit
+  (** A client request arrived on [conn]: session-cache retry, Busy while
       catching up or over the admission cap, else admitted for batching
-      (which arms the event-driven cut when one is installed). *)
+      (which arms the one-shot batch cut once the service is running). *)
 
   val batcher_tick : t -> unit
-  (** One batcher-thread tick: cut/fire decision via {!Batcher.tick}, store
-      GC, and the stall watchdog. Called every [batch_delay] by the server's
-      batcher thread. *)
+  (** One batcher tick: cut/fire decision via {!Batcher.tick}, store GC, and
+      the stall watchdog. Called every [batch_delay] by the server's batch
+      timer, and by the one-shot cut. *)
 
   val install_pending_snapshot : t -> unit
   (** Persist the outstanding snapshot capture, if any (the fsyncs run on
-      the calling — batcher — thread, off the apply path). *)
+      the calling thread — the service loop — off the apply path). *)
 
   (** {2 Observation} *)
 

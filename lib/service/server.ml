@@ -8,85 +8,13 @@ type role = Correct | Mute | Equivocator | Churn
 module Make (L : Dex_core.Protocol_lane.LANE) = struct
   (* The replica core — consensus callbacks, apply loop, catch-up,
      admission — assembled from the pipeline stages. This module adds the
-     parts that touch sockets and threads: the client listener, the batcher
-     thread, and deployment orchestration. *)
+     parts that touch sockets: the client listener, the batch timer, and
+     deployment orchestration. *)
   include Replica.Make (L)
 
   (* ----------------------------- the service ----------------------------- *)
 
-  (* --- threaded service (io_mode = Threads) --- *)
-
-  let track_thread t th =
-    Mutex.lock t.lock;
-    t.threads <- th :: t.threads;
-    Mutex.unlock t.lock
-
-  let conn_reader t sock () =
-    let ic = Unix.in_channel_of_descr sock in
-    let oc = Unix.out_channel_of_descr sock in
-    (try
-       while t.running do
-         handle_request t ~sink:(Chan oc) (Wire.read_request ic)
-       done
-     with
-    | End_of_file | Sys_error _ | Unix.Unix_error _ | Dex_codec.Codec.Decode_error _ -> ());
-    try Unix.close sock with Unix.Unix_error _ -> ()
-
-  let acceptor t sock () =
-    try
-      while t.running do
-        let conn, _ = Unix.accept sock in
-        (try Unix.setsockopt conn Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        Mutex.lock t.lock;
-        t.client_socks <- conn :: t.client_socks;
-        let live = t.running in
-        Mutex.unlock t.lock;
-        (* Lost race with [stop_threads]'s shutdown sweep: fail the reader
-           out ourselves, or its join would wait on a blocked read forever. *)
-        if not live then (try Unix.shutdown conn Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-        track_thread t (Thread.create (conn_reader t conn) ())
-      done
-    with Unix.Unix_error _ | Sys_error _ -> ()
-
-  let batcher t () =
-    while t.running do
-      Thread.delay t.cfg.batch_delay;
-      install_pending_snapshot t;
-      batcher_tick t
-    done
-
-  (* --- event-driven service (io_mode = Reactor) --- *)
-
-  (* One-shot cut timer, armed under [t.lock]: fire when the just-admitted
-     request (or the oldest pending one) turns settle-eligible, with a small
-     margin so the tick lands on the eligible side of the cutoff. The
-     periodic [batch_timer] remains the safety net (watchdog, GC, missed
-     edges), so a timer that fires fractionally early costs one cadence. *)
-  let arm_cut r t =
-    if t.running && not t.cut_armed then begin
-      t.cut_armed <- true;
-      let oldest = Admission.oldest t.admission in
-      let margin = t.cut_margin in
-      let delay =
-        if oldest = Float.infinity then t.cfg.settle +. margin
-        else Float.max margin (t.cfg.settle -. (Unix.gettimeofday () -. oldest) +. margin)
-      in
-      (* Tracked (in [t.cut_timer]) so [stop_threads] can cancel it, and the
-         callback re-checks [running]: the reactor can outlive this replica
-         incarnation under crash/restart, and an orphaned one-shot must not
-         tick a stopped instance's batcher. Called under [t.lock]. *)
-      t.cut_timer <-
-        Some
-          (Reactor.after r delay (fun () ->
-               Mutex.lock t.lock;
-               t.cut_armed <- false;
-               t.cut_timer <- None;
-               let live = t.running in
-               Mutex.unlock t.lock;
-               if live then batcher_tick t))
-    end
-
-  let ev_conn_closed t conn =
+  let conn_closed t conn =
     Mutex.lock t.lock;
     t.client_conns <- List.filter (fun c -> c != conn) t.client_conns;
     Mutex.unlock t.lock
@@ -95,7 +23,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
      into [handle_request], replies through the connection's coalescing
      write queue. A malformed frame raises out of [feed], and the reactor
      tears down exactly this client. *)
-  let attach_client t r sock =
+  let attach_client t sock =
     (try Unix.setsockopt sock Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
     let reader = Dex_codec.Codec.Frame.Reader.create Wire.request_codec in
     let cell = ref None in
@@ -103,10 +31,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       let reqs = Dex_codec.Codec.Frame.Reader.feed reader buf len in
       match !cell with
       | None -> ()
-      | Some c -> List.iter (fun req -> handle_request t ~sink:(Evc c) req) reqs
+      | Some c -> List.iter (fun req -> handle_request t ~conn:c req) reqs
     in
-    let on_close () = match !cell with Some c -> ev_conn_closed t c | None -> () in
-    match Reactor.Conn.attach r sock ~on_bytes ~on_close with
+    let on_close () = match !cell with Some c -> conn_closed t c | None -> () in
+    match Reactor.Conn.attach t.service_reactor sock ~on_bytes ~on_close with
     | c ->
       cell := Some c;
       Mutex.lock t.lock;
@@ -116,11 +44,11 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       prerr_endline msg;
       (try Unix.close sock with Unix.Unix_error _ -> ())
 
-  let accept_ready t r sock () =
+  let accept_ready t sock () =
     let rec loop () =
       match Unix.accept sock with
       | conn, _ ->
-        attach_client t r conn;
+        attach_client t conn;
         loop ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> ()
@@ -152,92 +80,61 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     in
     t.listener <- Some sock;
     t.service_port <- Some bound;
-    (match t.service_reactor with
-    | None ->
-      t.threads <- [ Thread.create (acceptor t sock) (); Thread.create (batcher t) () ]
-    | Some r ->
-      Unix.set_nonblock sock;
-      t.schedule_cut <- arm_cut r;
-      t.batch_timer <- Some (Reactor.every r t.cfg.batch_delay (fun () -> reactor_tick t));
-      Reactor.on_readable r sock (accept_ready t r sock));
+    let r = t.service_reactor in
+    Unix.set_nonblock sock;
+    t.batch_timer <- Some (Reactor.every r t.cfg.batch_delay (fun () -> reactor_tick t));
+    Reactor.on_readable r sock (accept_ready t sock);
     bound
 
   let service_port t = t.service_port
 
-  (* Join every service thread. The list is re-read until it drains: the
-     acceptor registers reader threads concurrently, and it is itself on the
-     list, so once it is joined no new entries can appear. *)
-  let rec join_service_threads t =
-    Mutex.lock t.lock;
-    let ths = t.threads in
-    t.threads <- [];
-    Mutex.unlock t.lock;
-    match ths with
-    | [] -> ()
-    | _ ->
-      List.iter Thread.join ths;
-      join_service_threads t
-
-  let stop_threads t =
-    (if t.running then begin
-       Mutex.lock t.lock;
-       t.running <- false;
-       Mutex.unlock t.lock;
-       match t.service_reactor with
-       | None ->
-         (match t.listener with
-         | Some sock ->
-           (* shutdown, not just close: close alone leaves the acceptor
-              thread parked in [accept] on Linux; shutdown fails it out with
-              EINVAL. *)
-           (try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-           (try Unix.close sock with Unix.Unix_error _ -> ())
-         | None -> ());
-         Mutex.lock t.lock;
-         let socks = t.client_socks in
-         t.client_socks <- [];
-         Mutex.unlock t.lock;
-         List.iter
-           (fun s -> try Unix.shutdown s Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-           socks;
-         join_service_threads t
-       | Some r ->
-         (match t.batch_timer with
-         | Some timer ->
-           Reactor.cancel r timer;
-           t.batch_timer <- None
-         | None -> ());
-         Mutex.lock t.lock;
-         (match t.cut_timer with
-         | Some timer ->
-           Reactor.cancel r timer;
-           t.cut_timer <- None;
-           t.cut_armed <- false
-         | None -> ());
-         Mutex.unlock t.lock;
-         (match t.listener with
-         | Some sock ->
-           Reactor.remove r sock;
-           (try Unix.close sock with Unix.Unix_error _ -> ())
-         | None -> ());
-         Mutex.lock t.lock;
-         let conns = t.client_conns in
-         t.client_conns <- [];
-         Mutex.unlock t.lock;
-         List.iter Reactor.Conn.close conns
-     end);
+  let stop_service t =
+    let r = t.service_reactor in
+    if t.running then begin
+      Mutex.lock t.lock;
+      t.running <- false;
+      Mutex.unlock t.lock;
+      (match t.batch_timer with
+      | Some timer ->
+        Reactor.cancel r timer;
+        t.batch_timer <- None
+      | None -> ());
+      Mutex.lock t.lock;
+      (match t.cut_timer with
+      | Some timer ->
+        Reactor.cancel r timer;
+        t.cut_timer <- None;
+        t.cut_armed <- false
+      | None -> ());
+      Mutex.unlock t.lock;
+      (match t.listener with
+      | Some sock ->
+        Reactor.remove r sock;
+        (* Shut down before closing: a loop thread still parked in [select]
+           holds a reference that keeps a merely closed socket listening
+           until it wakes, and a restart rebinding this port would get
+           EADDRINUSE. *)
+        (try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        (try Unix.close sock with Unix.Unix_error _ -> ())
+      | None -> ());
+      Mutex.lock t.lock;
+      let conns = t.client_conns in
+      t.client_conns <- [];
+      Mutex.unlock t.lock;
+      List.iter Reactor.Conn.close conns
+    end;
     (* A private reactor exists from [replica] on (it also drives the WAL
        syncer), so it is stopped even if the service was never started. A
        borrowed (shared-runtime) loop is left running for its owner — the
        WAL syncer timer is cancelled separately by [Durability_lane.stop]. *)
-    if t.owns_reactor then Option.iter Reactor.stop t.service_reactor
+    if t.owns_reactor then Reactor.stop r
 
   let stop t =
-    stop_threads t;
+    stop_service t;
     Durability_lane.stop t.lane
 
   let crash t =
-    stop_threads t;
+    stop_service t;
     Durability_lane.crash t.lane
 
   (* ------------------------- Byzantine behaviours ------------------------- *)
@@ -288,11 +185,39 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
 
   (* ------------------------------ deployment ------------------------------ *)
 
+  (* The loopback mesh a deployment (or a whole group set) runs on: a
+     primary [mesh] loop, whose gauges land in [net_metrics] and which hosts
+     the transport's timers, plus extra loops the per-endpoint I/O is
+     sharded across. Extra loops are gated on cores: on few cores they are
+     pure context-switch overhead, so there are at most three, one fewer
+     than the cores, and one fewer than the [replicas] the mesh hosts. The
+     gauges live on the primary loop only (shards would collide on the
+     metric names). *)
+  let mesh ?faults ~net_metrics ~replicas ~pids () =
+    let primary = Reactor.create ~metrics:net_metrics ~name:"mesh" () in
+    let cores = Domain.recommended_domain_count () in
+    let shards =
+      Array.init
+        (min 3 (max 0 (min (replicas - 1) (cores - 1))))
+        (fun i -> Reactor.create ~name:(Printf.sprintf "mesh-%d" (i + 1)) ())
+    in
+    let reactor_for =
+      if Array.length shards = 0 then None
+      else
+        let pool = Array.append [| primary |] shards in
+        Some (fun pid -> pool.(pid mod Array.length pool))
+    in
+    let transport =
+      Transport.Tcp_codec.create ~codec:smsg_codec ~metrics:net_metrics ?faults ~reactor:primary
+        ?reactor_for ~pids ()
+    in
+    (transport, primary, shards)
+
   (* A runtime lent to a deployment instead of letting [launch] build its
      own: a pid-namespaced transport view onto a bigger shared mesh
      ({!Transport.offset}), the registry that mesh reports into, the mesh
-     loops, and (reactor mode) a selector giving each replica index a shared
-     service loop. Everything here is borrowed — the lender (a sharded
+     loops, and a selector giving each replica index a shared service
+     loop. Everything here is borrowed — the lender (a sharded
      group set) stops loops and closes the real mesh after every borrowing
      deployment is down. *)
   type shared_runtime = {
@@ -309,13 +234,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     net_metrics : Registry.t;
         (* deployment-wide registry holding the transport's [net/*] counters *)
     net_reactor : Reactor.t option;
-        (* event-driven mesh: the primary loop, shared by the transport's
-           timers and the cluster's protocol timers; [None] when the
-           deployment runs thread-per-connection *)
+        (* the primary mesh loop, shared by the transport's timers and the
+           cluster's protocol timers; a lent runtime may supply none *)
     mesh_shards : Reactor.t array;
         (* extra mesh loops: per-endpoint I/O is sharded across
            [net_reactor :: shards] so co-located replicas' reads do not
-           serialize on one thread (empty in threaded mode) *)
+           serialize on one thread (empty when borrowed or on few cores) *)
     mutable servers : (Pid.t * t) list;
     ports : (Pid.t * int) list;
     mutable dead : (Pid.t * t) list;
@@ -359,36 +283,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         (false, rt.sr_net_metrics, rt.sr_net_reactor, [||], transport, rt.sr_service_loop_for)
       | None ->
         let net_metrics = Registry.create () in
-        let net_reactor =
-          match cfg.io_mode with
-          | Transport.Threads -> None
-          | Transport.Reactor -> Some (Reactor.create ~metrics:net_metrics ~name:"mesh" ())
-        in
-        (* Shard the mesh I/O over up to four loops — but only when the
-           machine can actually run them in parallel: on few cores extra
-           loops are pure context-switch overhead. The gauges live on the
-           primary loop only (shards would collide on the metric names). *)
-        let mesh_shards =
-          match net_reactor with
-          | None -> [||]
-          | Some _ ->
-            let cores = Domain.recommended_domain_count () in
-            Array.init
-              (min 3 (max 0 (min (cfg.n - 1) (cores - 1))))
-              (fun i -> Reactor.create ~name:(Printf.sprintf "mesh-%d" (i + 1)) ())
-        in
-        let reactor_for =
-          match net_reactor with
-          | Some primary when Array.length mesh_shards > 0 ->
-            let pool = Array.append [| primary |] mesh_shards in
-            Some (fun pid -> pool.(pid mod Array.length pool))
-          | _ -> None
-        in
-        let transport =
-          Transport.Tcp_codec.create ~codec:smsg_codec ~metrics:net_metrics ?faults:chaos
-            ?reactor:net_reactor ?reactor_for ~pids ()
-        in
-        (true, net_metrics, net_reactor, mesh_shards, transport, None)
+        let transport, primary, shards = mesh ?faults:chaos ~net_metrics ~replicas:cfg.n ~pids () in
+        (true, net_metrics, Some primary, shards, transport, None)
     in
     let svc_loop p = Option.map (fun f -> f p) service_loop_for in
     let servers = ref [] in
@@ -490,11 +386,14 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         events
 
   let shutdown d =
-    List.iter (fun (_, s) -> stop s) d.servers;
-    (* With a borrowed runtime this closes only the pid-namespaced view
-       (a no-op) — the real mesh stays up for the other groups sharing it,
-       and the lender closes it after the last of them shuts down. *)
+    (* Consensus first, like [kill_replica]: a node thread that applies a
+       slot after its replica's WAL is closed raises while holding the
+       replica lock. With a borrowed runtime this closes only the
+       pid-namespaced view (a no-op) — the real mesh stays up for the other
+       groups sharing it, and the lender closes it after the last of them
+       shuts down. *)
     Cluster.shutdown d.cluster;
+    List.iter (fun (_, s) -> stop s) d.servers;
     if d.owns_runtime then begin
       (* The mesh loops are borrowed by transport and cluster alike; the
          deployment owns them. *)

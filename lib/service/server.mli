@@ -5,9 +5,9 @@
     apply loop, the persist-before-reply durability lane
     ({!Durability_lane}) and the Byzantine-tolerant catch-up lane
     ({!Catch_up}) — with the socket layer this module owns: the
-    client-facing TCP listener, per-connection reader threads, and the
-    batcher thread driving slot release, snapshot installs and the stall
-    watchdog.
+    client-facing TCP listener, event-driven client connections, and the
+    batch timer driving slot release, snapshot installs and the stall
+    watchdog, all on the replica's {!Dex_runtime.Reactor}.
 
     The full pipeline contract (one-step batching, fetch lane, [t+1]
     catch-up votes, snapshot transfer, external-validity caveat) is
@@ -39,18 +39,17 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   val start_service : ?port:int -> t -> int
   (** Bind the client-facing listener on loopback ([port = 0] picks an
       ephemeral port — the return value is the bound port) and start the
-      service machinery: acceptor and batcher threads with
-      [io_mode = Threads], or — with [io_mode = Reactor] — a nonblocking
-      listener, per-connection event-driven framing and the batcher cadence
-      as timers on the replica's own reactor (which also hosts the WAL
-      group-commit timer and the event-driven settle cut).
+      service machinery on the replica's reactor: a nonblocking listener,
+      per-connection event-driven framing and the batcher cadence as a
+      timer (the same loop hosts the WAL group-commit timer and the
+      one-shot settle cut).
       @raise Invalid_argument if already running. *)
 
   val service_port : t -> int option
 
   val stop : t -> unit
-  (** Clean stop: service threads down, client connections closed, then a
-      final WAL sync and close. Idempotent. Does not touch the consensus
+  (** Clean stop: service timers cancelled, client connections closed, then
+      a final WAL sync and close. Idempotent. Does not touch the consensus
       side — shut the cluster down separately. *)
 
   val crash : t -> unit
@@ -72,6 +71,24 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       over {!Transport.Tcp_codec}, each correct replica serving clients on
       its own loopback port. *)
 
+  val mesh :
+    ?faults:Fault_plan.t ->
+    net_metrics:Dex_metrics.Registry.t ->
+    replicas:int ->
+    pids:Pid.t list ->
+    unit ->
+    smsg Transport.t * Reactor.t * Reactor.t array
+  (** [mesh ~net_metrics ~replicas ~pids ()] builds the loopback mesh a
+      deployment runs on: [(transport, primary, shards)]. The [primary]
+      loop reports its [reactor/*] gauges into [net_metrics] and hosts the
+      transport's timers; per-endpoint I/O is spread over
+      [primary :: shards], with [max 0 (min 3 (min (replicas - 1)
+      (cores - 1)))] extra loops — on few cores extra loops are pure
+      context-switch overhead. [replicas] is the replica count the mesh
+      hosts ([n] for one deployment, [k * n] for a sharded group set).
+      The caller owns everything: close the transport, then stop the
+      loops. *)
+
   type shared_runtime = {
     sr_transport : smsg Transport.t;
         (** this deployment's pid-namespaced view onto the shared mesh
@@ -80,12 +97,13 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     sr_net_metrics : Dex_metrics.Registry.t;
         (** the registry the shared mesh reports its [net/*] counters into *)
     sr_net_reactor : Reactor.t option;
-        (** the mesh's primary loop (reactor mode), hosting this
-            deployment's protocol timers too; borrowed, never stopped here *)
+        (** the mesh's primary loop, hosting this deployment's protocol
+            timers too; borrowed, never stopped here *)
     sr_service_loop_for : (Pid.t -> Reactor.t) option;
-        (** reactor mode: the shared service loop each replica pid runs its
-            client I/O, batch cadence and WAL group commit on — so loop
-            count is bounded by replica index, not by group count *)
+        (** the shared service loop each replica pid runs its client I/O,
+            batch cadence and WAL group commit on — so loop count is bounded
+            by replica index, not by group count; [None] gives every
+            replica a private loop *)
   }
   (** A runtime lent to {!launch} instead of letting it build one: how
       several consensus groups (shards) share one mesh, one set of event
@@ -102,15 +120,16 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
             counters (totals and per-peer); per-replica [service/*] and
             [wal/*] families live in each replica's {!metrics} registry *)
     net_reactor : Reactor.t option;
-        (** with [io_mode = Reactor]: the primary mesh loop, shared by the
-            transport's timers and the cluster's protocol timers (its
-            [reactor/*] gauges land in [net_metrics]); each replica's client
-            I/O runs on its own loop in its own registry *)
+        (** the primary mesh loop, shared by the transport's timers and the
+            cluster's protocol timers (its [reactor/*] gauges land in
+            [net_metrics]); each replica's client I/O runs on its own loop
+            in its own registry. [None] only under a lent runtime that
+            supplies no loop. *)
     mesh_shards : Reactor.t array;
         (** extra mesh loops the per-endpoint I/O is sharded across (see
-            {!Transport.Tcp_codec.create}'s [reactor_for]) — co-located
-            replicas' reads must not serialize on one thread; empty in
-            threaded mode *)
+            {!mesh}) — co-located replicas' reads must not serialize on one
+            thread; empty under a lent runtime (the lender owns its loops)
+            and on a single core *)
     mutable servers : (Pid.t * t) list;  (** live correct replicas *)
     ports : (Pid.t * int) list;  (** their client-facing service ports *)
     mutable dead : (Pid.t * t) list;  (** replicas taken down by {!kill_replica} *)

@@ -51,10 +51,6 @@ let reply_codec =
 
 let write_request oc r = Dex_codec.Codec.Frame.to_channel_buffered oc request_codec r
 
-let read_request ic = Dex_codec.Codec.Frame.from_channel ic request_codec
-
-let write_reply oc r = Dex_codec.Codec.Frame.to_channel_buffered oc reply_codec r
-
 let read_reply ic = Dex_codec.Codec.Frame.from_channel ic reply_codec
 
 let pp_request ppf { client; rid; command } =

@@ -38,16 +38,14 @@ val provenance_codec : Dex_core.Dex.provenance Dex_codec.Codec.t
 
 (** {2 Framed channel I/O}
 
-    Writers buffer without flushing, so a sender can coalesce a wave of
-    messages into one syscall — call [flush] when the wave is complete.
-    Readers raise [End_of_file] on a closed peer and
-    {!Dex_codec.Codec.Decode_error} on malformed input. *)
+    The client side of the wire over blocking channels, for tools that
+    speak to a service port without a reactor. [write_request] buffers
+    without flushing, so a sender can coalesce a wave of messages into one
+    syscall — call [flush] when the wave is complete. [read_reply] raises
+    [End_of_file] on a closed peer and {!Dex_codec.Codec.Decode_error} on
+    malformed input. *)
 
 val write_request : out_channel -> request -> unit
-
-val read_request : in_channel -> request
-
-val write_reply : out_channel -> reply -> unit
 
 val read_reply : in_channel -> reply
 

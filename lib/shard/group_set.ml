@@ -13,7 +13,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     deployments : S.deployment array;
     transport : S.smsg Transport.t;  (* the real shared mesh (owned) *)
     net_metrics : Registry.t;
-    net_reactor : Reactor.t option;
+    net_reactor : Reactor.t;
     mesh_shards : Reactor.t array;
     service_loops : Reactor.t array;
     mutable closed : bool;
@@ -42,54 +42,23 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     let k = Shard_map.shards map in
     let stride = stride_of cfg in
     let net_metrics = Registry.create () in
-    let net_reactor =
-      match cfg.S.io_mode with
-      | Transport.Threads -> None
-      | Transport.Reactor -> Some (Reactor.create ~metrics:net_metrics ~name:"mesh" ())
-    in
-    (* Mesh I/O loops are core-gated exactly as in a single-group launch:
-       on few cores extra loops are pure context-switch overhead, and the
-       whole point of sharing the runtime is that the loop count does not
-       grow with the shard count. *)
-    let mesh_shards =
-      match net_reactor with
-      | None -> [||]
-      | Some _ ->
-        let cores = Domain.recommended_domain_count () in
-        Array.init
-          (min 3 (max 0 (min ((k * cfg.S.n) - 1) (cores - 1))))
-          (fun i -> Reactor.create ~name:(Printf.sprintf "mesh-%d" (i + 1)) ())
-    in
-    let reactor_for =
-      match net_reactor with
-      | Some primary when Array.length mesh_shards > 0 ->
-        let pool = Array.append [| primary |] mesh_shards in
-        Some (fun pid -> pool.(pid mod Array.length pool))
-      | _ -> None
-    in
-    let transport =
-      Transport.Tcp_codec.create ~codec:S.smsg_codec ~metrics:net_metrics ?reactor:net_reactor
-        ?reactor_for
-        ~pids:(List.init (k * stride) Fun.id)
-        ()
+    (* The mesh's extra I/O loops are gated by the replica count of the
+       whole set, so the loop count does not grow with the shard count. *)
+    let transport, net_reactor, mesh_shards =
+      S.mesh ~net_metrics ~replicas:(k * cfg.S.n) ~pids:(List.init (k * stride) Fun.id) ()
     in
     (* Service loops are shared by replica index: shard [i]'s replica [j]
        runs its client I/O, batch cadence and WAL group commit on loop [j],
        whatever [i] — [n] loops total instead of [k * n]. *)
     let service_loops =
-      match cfg.S.io_mode with
-      | Transport.Threads -> [||]
-      | Transport.Reactor ->
-        Array.init cfg.S.n (fun j -> Reactor.create ~name:(Printf.sprintf "svc-%d" j) ())
+      Array.init cfg.S.n (fun j -> Reactor.create ~name:(Printf.sprintf "svc-%d" j) ())
     in
     let runtime i =
       {
         S.sr_transport = Transport.offset ~base:(i * stride) ~count:stride transport;
         sr_net_metrics = net_metrics;
-        sr_net_reactor = net_reactor;
-        sr_service_loop_for =
-          (if Array.length service_loops = 0 then None
-           else Some (fun pid -> service_loops.(pid)));
+        sr_net_reactor = Some net_reactor;
+        sr_service_loop_for = Some (fun pid -> service_loops.(pid));
       }
     in
     let deployments =
@@ -127,7 +96,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
          was borrowing. *)
       Array.iter S.shutdown t.deployments;
       t.transport.Transport.close ();
-      Option.iter Reactor.stop t.net_reactor;
+      Reactor.stop t.net_reactor;
       Array.iter Reactor.stop t.mesh_shards;
       Array.iter Reactor.stop t.service_loops
     end

@@ -54,24 +54,17 @@ end
 
 (* ----------------------------- connections ------------------------------ *)
 
-(* Same two-mode connection shape as [Client]: a blocking channel pair fed
-   by a reader thread, or an event-driven connection on the router's single
-   reactor. The difference is fan-in: replies from every shard's every
-   replica merge into one inbox, tagged with the shard they came from. *)
-type io =
-  | Chan of { sock : Unix.file_descr; ic : in_channel; oc : out_channel }
-  | Evc of Reactor.Conn.t
-
-type conn = { io : io; mutable alive : bool }
-
+(* Same connection shape as [Client]: event-driven connections on the
+   router's single reactor. The difference is fan-in: replies from every
+   shard's every replica merge into one inbox, tagged with the shard they
+   came from. *)
 type t = {
   map : Shard_map.t;
   client : int;
-  shards : conn list array;  (* index = shard, one conn per replica port *)
+  shards : Reactor.Conn.t list array;  (* index = shard, one conn per replica port *)
   inbox : (int * Wire.reply) Mailbox.t;
-  reactor : Reactor.t option;  (* owned; [Some] iff io_mode = Reactor *)
+  reactor : Reactor.t;  (* owned *)
   dedupe : Dedupe.t;
-  mutable readers : Thread.t list;
   next_rids : (int, int) Hashtbl.t;
       (* next rid per logical client — router-level, not per load run, so a
          second run on the same router keeps issuing fresh rids (a reset
@@ -85,118 +78,30 @@ let next_rid t cid =
   Hashtbl.replace t.next_rids cid (r + 1);
   r
 
-let conn_alive c =
-  match c.io with Chan _ -> c.alive | Evc e -> Reactor.Conn.is_open e
-
-let reader t shard conn ic () =
-  (try
-     while not t.closed do
-       Mailbox.push t.inbox (shard, Wire.read_reply ic)
-     done
-   with
-  | End_of_file | Sys_error _ | Unix.Unix_error _ | Dex_codec.Codec.Decode_error _ -> ());
-  conn.alive <- false
-
-let connect ?(io_mode = Transport.Reactor) ~map ~client ports_per_shard =
+let connect ~map ~client ports_per_shard =
   let k = Shard_map.shards map in
   if List.length ports_per_shard <> k then
     invalid_arg "Router.connect: one port list per shard required";
-  let reactor =
-    match io_mode with
-    | Transport.Threads -> None
-    | Transport.Reactor -> Some (Reactor.create ~name:"router" ())
-  in
+  let reactor = Reactor.create ~name:"router" () in
   let inbox = Mailbox.create () in
-  let dial shard port =
-    try
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.setsockopt sock Unix.TCP_NODELAY true
-       with e ->
-         (try Unix.close sock with Unix.Unix_error _ -> ());
-         raise e);
-      match reactor with
-      | None ->
-        Some
-          {
-            io =
-              Chan
-                {
-                  sock;
-                  ic = Unix.in_channel_of_descr sock;
-                  oc = Unix.out_channel_of_descr sock;
-                };
-            alive = true;
-          }
-      | Some r ->
-        let frames = Dex_codec.Codec.Frame.Reader.create Wire.reply_codec in
-        let on_bytes buf len =
-          List.iter
-            (fun reply -> Mailbox.push inbox (shard, reply))
-            (Dex_codec.Codec.Frame.Reader.feed frames buf len)
-        in
-        let e = Reactor.Conn.attach r sock ~on_bytes ~on_close:(fun () -> ()) in
-        Some { io = Evc e; alive = true }
-    with Unix.Unix_error _ | Invalid_argument _ -> None
-  in
+  let dial shard = Client.dial reactor ~on_reply:(fun reply -> Mailbox.push inbox (shard, reply)) in
   let shards =
     Array.of_list (List.mapi (fun i ports -> List.filter_map (dial i) ports) ports_per_shard)
   in
   if Array.exists (fun conns -> conns = []) shards then begin
-    Option.iter Reactor.stop reactor;
-    Array.iter
-      (List.iter (fun c ->
-           match c.io with
-           | Chan { sock; _ } -> ( try Unix.close sock with Unix.Unix_error _ -> ())
-           | Evc e -> Reactor.Conn.close e))
-      shards;
+    Array.iter (List.iter Reactor.Conn.close) shards;
+    Reactor.stop reactor;
     invalid_arg "Router.connect: a shard has no reachable replica"
   end;
-  let t =
-    {
-      map;
-      client;
-      shards;
-      inbox;
-      reactor;
-      dedupe = Dedupe.create ();
-      readers = [];
-      next_rids = Hashtbl.create 256;
-      closed = false;
-    }
-  in
-  Array.iteri
-    (fun shard conns ->
-      List.iter
-        (fun conn ->
-          match conn.io with
-          | Chan { ic; _ } -> t.readers <- Thread.create (reader t shard conn ic) () :: t.readers
-          | Evc _ -> ())
-        conns)
-    t.shards;
-  t
+  { map; client; shards; inbox; reactor; dedupe = Dedupe.create ();
+    next_rids = Hashtbl.create 256; closed = false }
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Mailbox.close t.inbox;
-    Array.iter
-      (List.iter (fun conn ->
-           match conn.io with
-           | Chan { sock; _ } -> (
-             try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-           | Evc e -> Reactor.Conn.close e))
-      t.shards;
-    List.iter Thread.join t.readers;
-    t.readers <- [];
-    Array.iter
-      (List.iter (fun conn ->
-           match conn.io with
-           | Chan { sock; _ } -> ( try Unix.close sock with Unix.Unix_error _ -> ())
-           | Evc _ -> ()))
-      t.shards;
-    Option.iter Reactor.stop t.reactor
+    Array.iter (List.iter Reactor.Conn.close) t.shards;
+    Reactor.stop t.reactor
   end
 
 let map t = t.map
@@ -205,25 +110,14 @@ let dedupe t = t.dedupe
 
 (* ------------------------------ submission ------------------------------ *)
 
-let write_conn conn req =
-  match conn.io with
-  | Chan { oc; _ } -> (
-    try Wire.write_request oc req with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false)
-  | Evc e -> Reactor.Conn.buffer e (Dex_codec.Codec.Frame.to_string Wire.request_codec req)
-
-let flush_conn conn =
-  match conn.io with
-  | Chan { oc; _ } -> (
-    try flush oc with Sys_error _ | Unix.Unix_error _ -> conn.alive <- false)
-  | Evc e -> Reactor.Conn.pump e
-
 (* Submit-to-all {e within the owning shard}: the request reaches every
    replica of exactly one group, never its neighbours. *)
 let write_shard t shard req =
-  List.iter (fun conn -> if conn_alive conn then write_conn conn req) t.shards.(shard)
+  let frame = Dex_codec.Codec.Frame.to_string Wire.request_codec req in
+  List.iter (fun c -> if Reactor.Conn.is_open c then Reactor.Conn.buffer c frame) t.shards.(shard)
 
 let flush_shard t shard =
-  List.iter (fun conn -> if conn_alive conn then flush_conn conn) t.shards.(shard)
+  List.iter (fun c -> if Reactor.Conn.is_open c then Reactor.Conn.pump c) t.shards.(shard)
 
 let flush_all t = Array.iteri (fun shard _ -> flush_shard t shard) t.shards
 

@@ -21,7 +21,6 @@ open Dex_service
 type t
 
 val connect :
-  ?io_mode:Dex_runtime.Transport.io_mode ->
   map:Shard_map.t ->
   client:int ->
   int list list ->
@@ -29,9 +28,8 @@ val connect :
 (** [connect ~map ~client ports_per_shard] dials every replica of every
     shard on loopback; the outer list must have one entry (that shard's
     service ports) per {!Shard_map.shards} shard, in shard order. [client]
-    is the base logical client id (see {!Load.run_many}). [io_mode]
-    (default [Reactor]) picks one blocking reader thread per connection, or
-    a single router-owned event loop for all of them.
+    is the base logical client id (see {!Load.run_many}). All connections
+    share a single router-owned event loop ({!Client.dial}).
     @raise Invalid_argument on a shard-count mismatch, or when some shard
     has no reachable replica. *)
 

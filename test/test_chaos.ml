@@ -1,7 +1,7 @@
 (* Chaos-lane tests: the deterministic fault-plan engine (plan-file
    round-trip, validation including the churn ≤t invariant, the
    same-seed-same-trace determinism regression, metrics integration), seeded
-   live chaos rounds against real deployments in both io modes (partitions
+   live chaos rounds against real deployments (partitions
    with heal, reorder+delay+dup mixes, crash-restart storms, Byzantine
    churn — zero agreement violations, zero duplicate applies, one-step
    fraction stays above zero), the timer-tombstone crash/restart regression,
@@ -201,11 +201,11 @@ let rec rm_rf path =
 
 let round_duration = 0.6
 
-let chaos_round ~io_mode ~roles ?data_dir spec =
+let chaos_round ~roles ?data_dir spec =
   (match FP.validate ~n:7 ~t:1 spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invalid spec: %s" e);
-  let cfg = S.config ?data_dir ~io_mode ~pair:(fun _ -> freq7) ~n:7 ~t:1 () in
+  let cfg = S.config ?data_dir ~pair:(fun _ -> freq7) ~n:7 ~t:1 () in
   let d = S.launch ~roles ~chaos:(FP.make spec) cfg in
   Fun.protect ~finally:(fun () -> S.shutdown d) @@ fun () ->
   let sched_err = ref None in
@@ -216,7 +216,7 @@ let chaos_round ~io_mode ~roles ?data_dir spec =
         with e -> sched_err := Some (Printexc.to_string e))
       ()
   in
-  let c = Client.connect ~io_mode ~client:1 (List.map snd d.S.ports) in
+  let c = Client.connect ~client:1 (List.map snd d.S.ports) in
   let r = Client.Load.run ~duration:round_duration c (fun _ -> Sm.Add ("k", 1)) in
   Client.close c;
   Thread.join scheduler;
@@ -303,12 +303,12 @@ let mix_churn seed =
 
 let churn_roles p = if p = 5 then Server.Churn else Server.Correct
 
-let run_rounds ~io_mode ~seeds mk =
+let run_rounds ~seeds mk =
   List.iter
     (fun seed ->
       let spec = mk seed in
       let roles = if spec.FP.churn = [] then all_correct else churn_roles in
-      if spec.FP.storm = [] then chaos_round ~io_mode ~roles spec
+      if spec.FP.storm = [] then chaos_round ~roles spec
       else begin
         (* Storm rounds restart from disk: give them a scratch data dir. *)
         let dir =
@@ -319,23 +319,16 @@ let run_rounds ~io_mode ~seeds mk =
         rm_rf dir;
         Fun.protect
           ~finally:(fun () -> rm_rf dir)
-          (fun () -> chaos_round ~io_mode ~roles ~data_dir:dir spec)
+          (fun () -> chaos_round ~roles ~data_dir:dir spec)
       end)
     seeds
 
-(* 20 distinct seeds across the four mixes and both io modes. *)
+(* 12 distinct seeds across the four mixes. *)
 
-let reactor = Dex_runtime.Transport.Reactor
-let threads = Dex_runtime.Transport.Threads
-
-let test_partition_reactor () = run_rounds ~io_mode:reactor ~seeds:[ 101; 102; 103 ] mix_partition
-let test_reorder_reactor () = run_rounds ~io_mode:reactor ~seeds:[ 111; 112; 113 ] mix_reorder
-let test_storm_reactor () = run_rounds ~io_mode:reactor ~seeds:[ 121; 122; 123 ] mix_storm
-let test_churn_reactor () = run_rounds ~io_mode:reactor ~seeds:[ 131; 132; 133 ] mix_churn
-let test_partition_threads () = run_rounds ~io_mode:threads ~seeds:[ 201; 202 ] mix_partition
-let test_reorder_threads () = run_rounds ~io_mode:threads ~seeds:[ 211; 212 ] mix_reorder
-let test_storm_threads () = run_rounds ~io_mode:threads ~seeds:[ 221; 222 ] mix_storm
-let test_churn_threads () = run_rounds ~io_mode:threads ~seeds:[ 231; 232 ] mix_churn
+let test_partition_reactor () = run_rounds ~seeds:[ 101; 102; 103 ] mix_partition
+let test_reorder_reactor () = run_rounds ~seeds:[ 111; 112; 113 ] mix_reorder
+let test_storm_reactor () = run_rounds ~seeds:[ 121; 122; 123 ] mix_storm
+let test_churn_reactor () = run_rounds ~seeds:[ 131; 132; 133 ] mix_churn
 
 (* --------------------- timer tombstone regression --------------------- *)
 
@@ -357,13 +350,13 @@ let test_timer_tombstones () =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let cfg =
-    S.config ~data_dir:dir ~io_mode:reactor ~batch_delay:0.005 ~catchup_grace:2.0
+    S.config ~data_dir:dir ~batch_delay:0.005 ~catchup_grace:2.0
       ~pair:(fun _ -> freq4)
       ~n:4 ~t:0 ()
   in
   let d = S.launch cfg in
   Fun.protect ~finally:(fun () -> S.shutdown d) @@ fun () ->
-  let c = Client.connect ~io_mode:reactor ~client:1 (List.map snd d.S.ports) in
+  let c = Client.connect ~client:1 (List.map snd d.S.ports) in
   let result = ref None in
   let loader =
     Thread.create
@@ -501,13 +494,6 @@ let () =
           Alcotest.test_case "reorder + delay + dup" `Slow test_reorder_reactor;
           Alcotest.test_case "crash-restart storm" `Slow test_storm_reactor;
           Alcotest.test_case "byzantine churn" `Slow test_churn_reactor;
-        ] );
-      ( "live_threads",
-        [
-          Alcotest.test_case "partition with heal" `Slow test_partition_threads;
-          Alcotest.test_case "reorder + delay + dup" `Slow test_reorder_threads;
-          Alcotest.test_case "crash-restart storm" `Slow test_storm_threads;
-          Alcotest.test_case "byzantine churn" `Slow test_churn_threads;
         ] );
       ( "regressions",
         [ Alcotest.test_case "timer tombstones" `Slow test_timer_tombstones ] );

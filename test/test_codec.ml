@@ -377,7 +377,8 @@ let test_dex_over_codec_tcp () =
   let cfg = D.config ~pair () in
   let extra = D.extra cfg in
   let pids = Pid.all ~n:7 @ List.map fst extra in
-  let transport = Transport.Tcp_codec.create ~codec:D.codec ~pids () in
+  let reactor = Reactor.create () in
+  let transport = Transport.Tcp_codec.create ~codec:D.codec ~reactor ~pids () in
   let cluster =
     Cluster.create ~transport ~n:7 ~extra (fun p -> D.instance cfg ~me:p ~proposal:6)
   in
@@ -385,6 +386,7 @@ let test_dex_over_codec_tcp () =
   let ok = Cluster.await ~timeout:20.0 cluster in
   let decisions = Cluster.decisions cluster in
   Cluster.shutdown cluster;
+  Reactor.stop reactor;
   Alcotest.(check bool) "all decided" true ok;
   Array.iter
     (function

@@ -57,8 +57,16 @@ let test_mem_transport_unknown_dst () =
   Alcotest.(check bool) "no delivery" true (tr.Transport.recv ~me:0 ~timeout:0.05 = None);
   tr.Transport.close ()
 
+(* A TCP transport runs on a reactor the caller owns: stop it once the
+   transport is closed. *)
+let with_reactor f =
+  let r = Reactor.create () in
+  Fun.protect ~finally:(fun () -> Reactor.stop r) (fun () -> f r)
+
 let test_tcp_transport_roundtrip () =
-  let tr = Transport.Tcp.create ~pids:[ 0; 1 ] () in
+  with_reactor @@ fun r ->
+  let codec = Dex_codec.Codec.(pair int string) in
+  let tr = Transport.Tcp_codec.create ~codec ~reactor:r ~pids:[ 0; 1 ] () in
   tr.Transport.send ~src:0 ~dst:1 (7, "payload");
   (match tr.Transport.recv ~me:1 ~timeout:2.0 with
   | Some (src, (k, s)) ->
@@ -69,7 +77,8 @@ let test_tcp_transport_roundtrip () =
   tr.Transport.close ()
 
 let test_tcp_transport_many_messages () =
-  let tr = Transport.Tcp.create ~pids:[ 0; 1 ] () in
+  with_reactor @@ fun r ->
+  let tr = Transport.Tcp_codec.create ~codec:Dex_codec.Codec.int ~reactor:r ~pids:[ 0; 1 ] () in
   for i = 0 to 99 do
     tr.Transport.send ~src:0 ~dst:1 i
   done;
@@ -94,14 +103,17 @@ let test_link_stats_counters () =
      link-health counter; killing B's endpoint makes A's sends burn the
      bounded retry budget (backoffs) and then abandon (drops); an unknown
      destination is abandoned immediately. *)
+  with_reactor @@ fun r ->
   let codec = Dex_codec.Codec.string in
   let port1 = ref 0 in
   let b =
-    Transport.Tcp_codec.create ~codec
+    Transport.Tcp_codec.create ~codec ~reactor:r
       ~on_bind:(fun _ port -> port1 := port)
       ~pids:[ 1 ] ()
   in
-  let a = Transport.Tcp_codec.create ~codec ~remotes:[ (1, !port1) ] ~pids:[ 0 ] () in
+  let a =
+    Transport.Tcp_codec.create ~codec ~reactor:r ~remotes:[ (1, !port1) ] ~pids:[ 0 ] ()
+  in
   a.Transport.send ~src:0 ~dst:1 "ping";
   (match b.Transport.recv ~me:1 ~timeout:2.0 with
   | Some (0, "ping") -> ()
@@ -110,8 +122,7 @@ let test_link_stats_counters () =
   Alcotest.(check int) "no backoffs while healthy" 0 healthy.Transport.backoffs;
   Alcotest.(check int) "no drops while healthy" 0 healthy.Transport.drops;
   b.Transport.close ();
-  (* Wait for the closed listener to actually refuse connections (the
-     accept thread needs a moment to wake and release the socket). *)
+  (* Wait for the closed listener to actually refuse connections. *)
   let refused = ref false in
   let tries = ref 0 in
   while (not !refused) && !tries < 100 do
@@ -125,10 +136,18 @@ let test_link_stats_counters () =
   done;
   Alcotest.(check bool) "closed listener refuses connects" true !refused;
   (* A fresh endpoint pointed at the dead listener: every connect is
-     refused, so each send burns the full retry budget and is abandoned. *)
-  let c = Transport.Tcp_codec.create ~codec ~remotes:[ (1, !port1) ] ~pids:[ 2 ] () in
+     refused, so each send burns the full retry budget and is abandoned.
+     The budget runs on reactor timers, so the counters settle after
+     [send] returns: poll until both messages are dropped. *)
+  let c =
+    Transport.Tcp_codec.create ~codec ~reactor:r ~remotes:[ (1, !port1) ] ~pids:[ 2 ] ()
+  in
   c.Transport.send ~src:2 ~dst:1 "lost-1";
   c.Transport.send ~src:2 ~dst:1 "lost-2";
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (c.Transport.link_stats ()).Transport.drops < 2 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
   let broken = c.Transport.link_stats () in
   Alcotest.(check bool) "backoffs counted" true (broken.Transport.backoffs > 0);
   Alcotest.(check int) "both messages dropped" 2 broken.Transport.drops;
@@ -168,10 +187,11 @@ let run_dex_cluster ~transport_kind ~proposals =
   let cfg = D.config ~pair () in
   let extra = D.extra cfg in
   let pids = Pid.all ~n:7 @ List.map fst extra in
+  let reactor = match transport_kind with `Mem -> None | `Tcp -> Some (Reactor.create ()) in
   let transport =
-    match transport_kind with
-    | `Mem -> Transport.Mem.create ~jitter:0.002 ~seed:5 ~pids ()
-    | `Tcp -> Transport.Tcp.create ~pids ()
+    match reactor with
+    | None -> Transport.Mem.create ~jitter:0.002 ~seed:5 ~pids ()
+    | Some r -> Transport.Tcp_codec.create ~codec:D.codec ~reactor:r ~pids ()
   in
   let cluster =
     Cluster.create ~transport ~n:7 ~extra (fun p ->
@@ -181,6 +201,7 @@ let run_dex_cluster ~transport_kind ~proposals =
   let ok = Cluster.await ~timeout:20.0 cluster in
   let decisions = Cluster.decisions cluster in
   Cluster.shutdown cluster;
+  Option.iter Reactor.stop reactor;
   (ok, decisions)
 
 let check_cluster_consensus ~expect_value ~expect_tag (ok, decisions) =

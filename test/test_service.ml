@@ -434,36 +434,6 @@ let test_coded_dissemination_deployment () =
       done;
       Alcotest.(check bool) "replica states converged" true (converged ()))
 
-let test_threads_io_mode_parity () =
-  (* The reactor is the default and carries the rest of this suite; the
-     legacy thread-per-connection runtime must keep the same service
-     semantics, and the two runtimes must interoperate on the wire. *)
-  let io_mode = Dex_runtime.Transport.Threads in
-  let cfg = S.config ~io_mode ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
-  with_deployment cfg (fun d ->
-      let ports = List.map snd d.S.ports in
-      let c = Client.connect ~io_mode ~client:1 ports in
-      let r =
-        Client.Load.run_many ~clients:8 ~duration:1.0 c (fun i ->
-            Sm.Set (Printf.sprintf "k%d" (i mod 8), i))
-      in
-      Client.close c;
-      (* Cross-mode: a reactor client against the threaded deployment. *)
-      let c2 = Client.connect ~io_mode:Dex_runtime.Transport.Reactor ~client:99 ports in
-      (match Client.submit c2 (Sm.Add ("cross", 1)) with
-      | Some res -> Alcotest.(check bool) "cross-mode applied" true (res.Client.output = Sm.Count 1)
-      | None -> Alcotest.fail "cross-mode submit failed");
-      Client.close c2;
-      Thread.delay 0.3;
-      Alcotest.(check bool) "committed work" true (r.Client.Load.committed > 100);
-      let compared, violations = S.agreement_violations d in
-      Alcotest.(check bool) "slots compared" true (compared > 0);
-      Alcotest.(check int) "no agreement violations" 0 (List.length violations);
-      let digests =
-        List.sort_uniq compare (List.map (fun (_, s) -> S.state_digest s) d.S.servers)
-      in
-      Alcotest.(check int) "replica states converged" 1 (List.length digests))
-
 let thread_count () =
   (* Linux: one entry per live thread. *)
   Array.length (Sys.readdir "/proc/self/task")
@@ -472,10 +442,10 @@ let test_shutdown_joins_threads () =
   if not (Sys.file_exists "/proc/self/task") then ()
   else begin
     let baseline = thread_count () in
-    let run io_mode =
-      let cfg = S.config ~io_mode ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
+    let run () =
+      let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
       let d = S.launch cfg in
-      let c = Client.connect ~io_mode ~client:1 (List.map snd d.S.ports) in
+      let c = Client.connect ~client:1 (List.map snd d.S.ports) in
       let stop = ref false in
       let loader =
         Thread.create
@@ -493,10 +463,9 @@ let test_shutdown_joins_threads () =
       Thread.join loader;
       Client.close c
     in
-    run Dex_runtime.Transport.Threads;
-    run Dex_runtime.Transport.Reactor;
-    (* Every acceptor, reader, batcher, syncer and loop thread must have been
-       joined: the process returns to its pre-deployment thread count. *)
+    run ();
+    (* Every cluster, syncer and loop thread must have been joined: the
+       process returns to its pre-deployment thread count. *)
     let deadline = Unix.gettimeofday () +. 5.0 in
     let rec settle () =
       if thread_count () <= baseline then ()
@@ -510,6 +479,53 @@ let test_shutdown_joins_threads () =
     in
     settle ()
   end
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+external fd_int : Unix.file_descr -> int = "%identity"
+
+let test_connect_closes_refused_socket () =
+  (* A socket the client's reactor refuses — its fd is at or above
+     [Reactor.max_fds], the [select] limit — must be closed, not leaked.
+     The server is a bare listener (connects complete in its backlog). Fill
+     the descriptor table up to the limit, then free the top three slots:
+     the client's wake pipe takes the two below the limit, and the dialled
+     socket lands on the limit itself. *)
+  let limit = Dex_runtime.Reactor.max_fds in
+  let lst = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lst (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lst 8;
+  let port = match Unix.getsockname lst with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  let dups = ref [] in
+  let close_dups_from bound =
+    let closing, kept = List.partition (fun fd -> fd_int fd >= bound) !dups in
+    List.iter Unix.close closing;
+    dups := kept
+  in
+  Fun.protect ~finally:(fun () ->
+      close_dups_from 0;
+      Unix.close lst)
+  @@ fun () ->
+  let rec fill () =
+    match Unix.dup lst with
+    | fd ->
+      dups := fd :: !dups;
+      if fd_int fd < limit then fill () else true
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) -> false
+  in
+  if not (Sys.file_exists "/proc/self/fd" && fill ()) then begin
+    Printf.printf "skipped: needs /proc/self/fd and more than %d open files (ulimit -n)\n" limit;
+    Alcotest.skip ()
+  end;
+  close_dups_from (limit - 2);
+  let baseline = open_fds () in
+  (match Client.connect ~client:1 [ port ] with
+  | c ->
+    Client.close c;
+    Alcotest.fail "a socket above the select limit was attached"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "refused" "Client.connect: no server reachable" msg);
+  Alcotest.(check int) "no descriptor leaked" baseline (open_fds ())
 
 let test_config_validation () =
   Alcotest.check_raises "bad batch_cap"
@@ -560,8 +576,9 @@ let () =
           Alcotest.test_case "durable restart recovers" `Quick test_durable_restart_recovers;
           Alcotest.test_case "coded dissemination, starved replica" `Quick
             test_coded_dissemination_deployment;
-          Alcotest.test_case "threads io-mode parity" `Quick test_threads_io_mode_parity;
           Alcotest.test_case "shutdown joins threads" `Quick test_shutdown_joins_threads;
+          Alcotest.test_case "connect closes a refused socket" `Quick
+            test_connect_closes_refused_socket;
           Alcotest.test_case "config validation" `Quick test_config_validation;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for dex_shard: shard-map determinism/stability/coverage properties,
    the router's session-dedupe core, and live multi-group deployments over
-   one shared runtime (real sockets, real threads, both io modes) — zero
+   one shared runtime (real sockets, real threads) — zero
    agreement violations per shard, zero misroutes, no duplicate applies. *)
 
 open Dex_service
@@ -167,12 +167,12 @@ let check_shards_clean g =
    by client id: both shards must take work, commit with clean per-shard
    agreement, count every request exactly once (no duplicate applies), and
    the dedupe core must see zero misroutes. *)
-let run_two_shard_deployment io_mode =
+let test_two_shards_reactor () =
   let map = Shard_map.create ~shards:2 () in
-  let cfg = S.config ~io_mode ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
+  let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
   with_group_set ~map cfg (fun g ->
       let ports = Array.to_list (G.ports g) in
-      let r = Router.connect ~io_mode ~map ~client:1 ports in
+      let r = Router.connect ~map ~client:1 ports in
       let report =
         Router.Load.run_many ~clients:16 ~duration:1.0 r (fun _ -> Sm.Add ("k", 1))
       in
@@ -204,10 +204,6 @@ let run_two_shard_deployment io_mode =
         (Printf.sprintf "applies %d within [committed %d, issued %d]" applied committed issued)
         true
         (applied >= committed && applied <= issued))
-
-let test_two_shards_reactor () = run_two_shard_deployment Dex_runtime.Transport.Reactor
-
-let test_two_shards_threads () = run_two_shard_deployment Dex_runtime.Transport.Threads
 
 let test_shard_data_dirs_and_restart () =
   (* Per-shard WAL roots: shard i persists under <data_dir>/shard-<i>, and a
@@ -267,7 +263,6 @@ let () =
       ( "deployment",
         [
           Alcotest.test_case "two shards, reactor io" `Quick test_two_shards_reactor;
-          Alcotest.test_case "two shards, threads io" `Quick test_two_shards_threads;
           Alcotest.test_case "per-shard data dirs, restart" `Quick
             test_shard_data_dirs_and_restart;
         ] );
