@@ -96,6 +96,11 @@ let sharded_action ~protocol ports shards client clients duration timeout worklo
 
 let action ports_s shards client clients duration pace timeout attempts workload value_bytes
     protocol =
+  (* --pace and --attempts shape the one-client latency harness only; the
+     many-client and sharded harnesses would silently drop them. *)
+  if (shards > 1 || clients > 1) && (Option.is_some pace || Option.is_some attempts) then
+    `Error (true, "--pace and --attempts apply only with --clients 1 and --shards 1")
+  else
   match
     let ports = List.map int_of_string (String.split_on_char ',' ports_s) in
     if shards > 1 then
@@ -108,7 +113,7 @@ let action ports_s shards client clients duration pace timeout attempts workload
         if clients > 1 then
           (* Throughput harness: many logical closed loops, one thread. *)
           Dex_service.Client.Load.run_many ~clients ~timeout ~duration c gen
-        else Dex_service.Client.Load.run ~pace ~timeout ~attempts ~duration c gen
+        else Dex_service.Client.Load.run ?pace ~timeout ?attempts ~duration c gen
       in
       Dex_service.Client.close c;
       print_agg ~protocol report
@@ -148,14 +153,24 @@ let duration_t = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Run tim
 
 let pace_t =
   Arg.(
-    value & opt float 0.0
-    & info [ "pace" ] ~doc:"Minimum seconds between submissions (0 = closed loop).")
+    value
+    & opt (some float) None
+    & info [ "pace" ]
+        ~doc:
+          "Minimum seconds between submissions (default 0 = closed loop; only with \
+           --clients 1 --shards 1).")
 
 let timeout_t =
   Arg.(value & opt float 1.0 & info [ "timeout" ] ~doc:"Per-attempt reply timeout (seconds).")
 
 let attempts_t =
-  Arg.(value & opt int 5 & info [ "attempts" ] ~doc:"Transmissions per request before giving up.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "attempts" ]
+        ~doc:
+          "Transmissions per request before giving up (default 5; only with --clients 1 \
+           --shards 1).")
 
 let workload_t =
   Arg.(value & opt string "add" & info [ "workload" ] ~doc:"Workload: add, set or mixed.")

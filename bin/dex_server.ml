@@ -1,22 +1,28 @@
 (* Replicated KV service over the DEX log — server side.
 
-   `serve` boots all n replicas of a loopback deployment in one process
-   (real TCP between replicas and to clients) and prints the per-replica
-   client service ports; point bin/dex_client at them. `--data-dir` turns
-   on the durability lane (WAL + snapshots, persist-before-reply);
-   `--stats S` prints a one-line service/WAL/link counter report every S
-   seconds.
+   Every subcommand runs over a group set: [--shards k] independent
+   consensus groups of n replicas each (default k = 1, the unsharded
+   service), tenants of one shared runtime, loaded through one shard
+   router.
 
-   `smoke` is the self-contained CI gate: boot a deployment (optionally with
-   mute/equivocating replicas), drive it with an in-process closed-loop
-   client, and fail unless the run committed work with zero agreement
-   violations and no duplicate application.
+   `serve` boots the set in one process (real TCP between replicas and to
+   clients) and prints every replica's client service port; point
+   bin/dex_client at them. `--data-dir` turns on the durability lane (WAL +
+   snapshots, persist-before-reply); `--stats S` prints a one-line
+   service/WAL/link counter report every S seconds.
 
-   `restart` is the durability gate: boot a durable n=4 deployment, drive it
-   with a closed-loop client, crash one replica mid-load (WAL abandoned, no
-   final fsync), restart it from its data dir, and fail unless it catches
-   back up to the identical state digest with zero agreement violations,
-   zero lost acknowledged commits and zero duplicate applies. *)
+   `smoke` is the self-contained CI gate: boot a set (optionally with
+   mute/equivocating replicas), drive it with in-process closed-loop
+   clients, and fail unless every shard committed work with zero agreement
+   violations, misroutes and duplicate applies.
+
+   `restart` is the durability gate: crash one replica of shard 0 mid-load
+   (WAL abandoned, no final fsync), restart it from its data dir, and fail
+   unless every shard converges to one state digest with zero agreement
+   violations, zero lost acknowledged commits and zero duplicate applies.
+
+   `gauntlet` is the chaos gate: a clean baseline phase, then a fault plan
+   replayed against shard 0 under the same load, with the same audit. *)
 
 open Cmdliner
 open Dex_condition
@@ -53,6 +59,8 @@ type opts = {
   submit_to : int;
 }
 
+type outcome = [ `Ok of unit | `Error of bool * string ]
+
 (* The smoke/restart/gauntlet workload: plain counter Adds, or — under
    --value-bytes N — Blob writes carrying an N-byte opaque payload that
    still apply as an increment of "k", so the duplicate-apply (overshoot)
@@ -63,9 +71,10 @@ let workload_of opts =
     let payload = String.make opts.value_bytes 'x' in
     fun _ -> Sm.Blob ("k", payload)
 
-(* Client port subset: --submit-to K connects the driving client to the
-   first K replicas only, starving the rest of direct submissions so their
-   content arrives over the dissemination lane (fetch or fragments). *)
+(* Client port subset: --submit-to K connects the driving clients to the
+   first K replicas of every shard only, starving the rest of direct
+   submissions so their content arrives over the dissemination lane (fetch
+   or fragments). *)
 let submit_ports opts ports =
   if opts.submit_to <= 0 || opts.submit_to >= List.length ports then ports
   else List.filteri (fun i _ -> i < opts.submit_to) ports
@@ -82,10 +91,23 @@ let roles_of opts p =
   else if List.mem p opts.equivocate then Dex_service.Server.Equivocator
   else Dex_service.Server.Correct
 
+let comma_ints l = String.concat "," (List.map string_of_int l)
+
+let scratch_dir name =
+  Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "dex-%s-%d" name (Unix.getpid ()))
+
+let verdict gate failures ok : outcome =
+  match failures with
+  | [] ->
+    Printf.printf "%s\n%!" (ok ());
+    `Ok ()
+  | fs -> `Error (false, Printf.sprintf "%s failed: %s" gate (String.concat "; " fs))
+
 module Run (L : PL.LANE) = struct
-  module S = Dex_service.Server.Make (L)
   module G = Dex_shard.Group_set.Make (L)
+  module S = G.S
   module Router = Dex_shard.Router
+  module Load = Dex_service.Client.Load
 
   let config_of opts =
     let pair = pair_of opts in
@@ -96,47 +118,73 @@ module Run (L : PL.LANE) = struct
       ~pair:(fun _ -> pair)
       ~n:opts.n ~t:opts.t ()
 
+  let map_of opts = Dex_shard.Shard_map.create ~shards:opts.shards ()
+
+  (* [opts.shards] groups behind one shared runtime, every group getting
+     the same role assignment unless overridden. *)
   let launch ?roles ?chaos opts =
-    let roles = match roles with Some r -> r | None -> roles_of opts in
-    S.launch ~roles ?chaos ~port_base:opts.port_base (config_of opts)
-
-  (* Freeze a deployment for its audit: consensus first, then the
-     replicas. A node thread still applying after its replica's WAL is
-     closed would raise while holding the replica lock, and the audit's
-     reads would then wait on that lock forever. *)
-  let stop_all d =
-    Dex_runtime.Cluster.shutdown d.S.cluster;
-    List.iter (fun (_, s) -> S.stop s) d.S.servers
-
-  (* A sharded deployment: [opts.shards] groups behind one shared runtime,
-     every group getting the same role assignment unless overridden. *)
-  let launch_set ?roles ?chaos opts =
-    let map = Dex_shard.Shard_map.create ~shards:opts.shards () in
     let roles =
       match roles with Some r -> r | None -> fun ~shard:_ p -> roles_of opts p
     in
-    G.launch ~roles ?chaos ~port_base:opts.port_base ~map (config_of opts)
+    G.launch ~roles ?chaos ~port_base:opts.port_base ~map:(map_of opts) (config_of opts)
 
-  let print_ports d =
-    List.iter
-      (fun (p, port) -> Printf.printf "replica %d: 127.0.0.1:%d\n%!" p port)
-      d.S.ports
+  (* The deployment fields every subcommand's header line starts with. *)
+  let describe opts =
+    Printf.sprintf "n=%d t=%d shards=%d map=%s protocol=%s pair=%s dissemination=%s value-bytes=%d"
+      opts.n opts.t opts.shards
+      (Dex_shard.Shard_map.to_string (map_of opts))
+      L.name opts.pair_name
+      (Dex_erasure.Dissemination.to_string opts.dissemination)
+      opts.value_bytes
 
-  let print_stats d =
-    List.iter
-      (fun (p, s) -> Format.printf "replica %d: %a@." p S.pp_stats (S.stats s))
-      d.S.servers
+  let print_ports g =
+    Array.iteri
+      (fun i d ->
+        List.iter
+          (fun (p, port) -> Printf.printf "shard %d replica %d: 127.0.0.1:%d\n%!" i p port)
+          d.S.ports)
+      (G.deployments g)
+
+  let print_stats g =
+    Array.iteri
+      (fun i d ->
+        List.iter
+          (fun (p, s) -> Format.printf "shard %d replica %d: %a@." i p S.pp_stats (S.stats s))
+          d.S.servers)
+      (G.deployments g)
+
+  let replica_snapshots g =
+    Array.to_list (G.deployments g)
+    |> List.concat_map (fun d -> List.map (fun (_, s) -> R.snapshot (S.metrics s)) d.S.servers)
 
   (* The `--stats` heartbeat, read entirely off the unified metrics
-     registries: every replica's registry (service/wal/durability families)
-     merged with the deployment's transport registry (net family), one line
-     per tick. Counters sum across replicas; [apply_lag] and the fsync
-     group-size high-water mark are reported as the per-replica maximum. *)
-  let stats_line d =
-    let replica_snaps = List.map (fun (_, s) -> R.snapshot (S.metrics s)) d.S.servers in
-    let merged = R.merge (R.snapshot d.S.net_metrics :: replica_snaps) in
+     registries: every replica's registry of every shard (service/wal/
+     durability families) merged with the shared runtime's (net and reactor
+     families), one line per tick. Counters sum across replicas;
+     [apply_lag] and the fsync group-size high-water mark are reported as
+     the per-replica maximum. With k > 1, each shard's own totals follow
+     the set-wide ones. *)
+  let stats_line g =
+    let replica_snaps = replica_snapshots g in
+    let merged = R.merge (G.runtime_snapshot g :: replica_snaps) in
     let max_over name =
       List.fold_left (fun acc snap -> max acc (R.get snap name)) 0 replica_snaps
+    in
+    let shard_part =
+      if G.shard_count g = 1 then ""
+      else
+        String.concat ""
+          (List.init (G.shard_count g) (fun i ->
+               let snap = G.shard_snapshot g i in
+               let wal =
+                 if not (List.mem_assoc "wal/appends" snap) then ""
+                 else Printf.sprintf " wal=%d" (R.get snap "wal/appends")
+               in
+               Printf.sprintf " | s%d slots=%d applied=%d busy=%d%s" i
+                 (R.get snap "service/committed_slots")
+                 (R.get snap "service/applied")
+                 (R.get snap "service/busy_rejections")
+                 wal))
     in
     let wal_part =
       if not (List.mem_assoc "wal/appends" merged) then "wal off"
@@ -146,8 +194,9 @@ module Run (L : PL.LANE) = struct
           (max_over "wal/max_group") (R.get merged "wal/segments")
           (R.get merged "wal/bytes" / 1024)
     in
-    (* Per-peer link counters ([net/<kind>/peer<pid>]), rendered only for
-       peers with any activity so a healthy mesh keeps the line short. *)
+    (* Per-peer link counters ([net/<kind>/peer<pid>], pids of the shared
+       mesh), rendered only for peers with any activity so a healthy mesh
+       keeps the line short. *)
     let peer_part =
       let peers = Hashtbl.create 8 in
       List.iter
@@ -201,26 +250,23 @@ module Run (L : PL.LANE) = struct
            PL.all_provenances)
     in
     Printf.printf
-      "[stats] slots=%d applied=%d busy=%d lag=%d | %s | %s | net reconn=%d backoff=%d \
+      "[stats] slots=%d applied=%d busy=%d lag=%d%s | %s | %s | net reconn=%d backoff=%d \
        drop=%d%s%s\n%!"
       (R.get merged "service/committed_slots")
       (R.get merged "service/applied")
       (R.get merged "service/busy_rejections")
-      (max_over "service/apply_lag") prov_part wal_part
+      (max_over "service/apply_lag") shard_part prov_part wal_part
       (R.get merged "net/reconnects")
       (R.get merged "net/backoffs")
       (R.get merged "net/drops") peer_part reactor_part
 
-  let serve_one opts =
-    let d = launch opts in
-    Printf.printf
-      "service up: n=%d t=%d protocol=%s pair=%s durability=%s dissemination=%s\n"
-      opts.n opts.t L.name opts.pair_name
-      (match opts.data_dir with Some dir -> dir | None -> "off")
-      (Dex_erasure.Dissemination.to_string opts.dissemination);
-    print_ports d;
+  let serve opts =
+    let g = launch opts in
+    Printf.printf "service up: %s durability=%s\n" (describe opts)
+      (match opts.data_dir with Some dir -> dir | None -> "off");
+    print_ports g;
     let heartbeat = if opts.stats_every > 0.0 then opts.stats_every else 10.0 in
-    let report () = if opts.stats_every > 0.0 then stats_line d else print_stats d in
+    let report () = if opts.stats_every > 0.0 then stats_line g else print_stats g in
     if opts.duration > 0.0 then begin
       let rec wait left =
         if left > 0.0 then begin
@@ -231,216 +277,212 @@ module Run (L : PL.LANE) = struct
         end
       in
       wait opts.duration;
-      print_stats d;
-      S.shutdown d;
-      `Ok ()
+      print_stats g;
+      G.shutdown g
     end
-    else begin
+    else
       (* Run until killed, with a periodic heartbeat. *)
       while true do
         Thread.delay heartbeat;
         report ()
       done;
-      `Ok ()
-    end
+    `Ok ()
 
-  let smoke_one opts =
-    let d = launch opts in
-    Printf.printf
-      "smoke: n=%d t=%d protocol=%s pair=%s dissemination=%s value-bytes=%d mute=[%s] \
-       equivocate=[%s]\n%!"
-      opts.n opts.t L.name opts.pair_name
-      (Dex_erasure.Dissemination.to_string opts.dissemination)
-      opts.value_bytes
-      (String.concat "," (List.map string_of_int opts.mute))
-      (String.concat "," (List.map string_of_int opts.equivocate));
-    let client =
-      Dex_service.Client.connect ~client:1
-        (submit_ports opts (List.map snd d.S.ports))
+  (* ------------------------------ one run ------------------------------- *)
+
+  (* One gated run over a fresh set: launch, drive closed-loop load through
+     one router (16 logical clients per shard) for [opts.duration] seconds
+     while [during] runs on a side thread, return every churning replica to
+     honest (a plan may end mid-churn), [settle], then shut the set down —
+     consensus before replicas, so the audit reads frozen state — and print
+     every replica's stats. [during]'s exception, if any, is returned. *)
+  let run ?roles ?chaos ?(during = ignore) ?(settle = fun _ -> Thread.delay 0.5) opts =
+    let g = launch ?roles ?chaos opts in
+    let side_err = ref None in
+    let side =
+      Thread.create
+        (fun () -> try during g with e -> side_err := Some (Printexc.to_string e))
+        ()
+    in
+    let router =
+      Router.connect ~map:(G.map g) ~client:1
+        (List.map (submit_ports opts) (Array.to_list (G.ports g)))
     in
     let report =
-      Dex_service.Client.Load.run ~duration:opts.duration client (workload_of opts)
+      Router.Load.run_many ~clients:(16 * opts.shards) ~duration:opts.duration router
+        (workload_of opts)
     in
-    Format.printf "%a@." Dex_service.Client.Load.pp_report report;
-    (* Let stragglers apply before inspecting replica state. *)
-    Thread.delay 0.5;
-    Dex_service.Client.close client;
-    stop_all d;
-    print_stats d;
-    let compared, violations = S.agreement_violations d in
-    let counter_of s = match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0 in
-    (* Duplicate application would overshoot the number of issued Adds. *)
-    let overshoot =
-      List.filter (fun (_, s) -> counter_of s > report.Dex_service.Client.Load.issued) d.S.servers
-    in
-    let committed = report.Dex_service.Client.Load.committed in
-    (* Dissemination-lane counters, summed over replicas. In coded mode the
-       decode-fallback count is gated: a bounded number is legal (races
-       where a batch commits before its fragments land), but a fallback per
-       slot means the lane never decodes and the mode is lying. *)
-    let merged = R.merge (List.map (fun (_, s) -> R.snapshot (S.metrics s)) d.S.servers) in
+    Router.close router;
+    Format.printf "%a@." Router.Load.pp_report report;
+    Thread.join side;
+    Array.iter
+      (fun d ->
+        List.iter (fun (_, cell) -> cell := Dex_net.Adversary.Churn_honest) d.S.churn_cells)
+      (G.deployments g);
+    settle g;
+    G.shutdown g;
+    print_stats g;
+    (g, report, !side_err)
+
+  let counter_of s = match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0
+
+  (* The checks every gate holds a finished run to; prints what it read and
+     returns the failures (empty = pass). Each replica's counter "k" must
+     not exceed the Adds routed to its shard (no duplicate apply), nor —
+     with [acked], sound only once every shard has converged — fall below
+     the commits acknowledged from that shard (no lost acks). In coded mode
+     the decode fallbacks are bounded by the coded fetches (decodes +
+     fallbacks; both count batches, so the bound does not grow with the
+     ops a batch holds): some fallbacks are legal (races where a batch
+     commits before its fragments land), but a fallback per fetch means the
+     lane never decodes and the mode is lying. *)
+  let audit ?(tag = "") ?(acked = false) opts g (r : Router.Load.report) =
+    let viols = G.agreement_violations g in
+    Array.iteri
+      (fun i (compared, v) ->
+        Printf.printf "%sshard %d agreement: %d multiply-committed slots compared, %d violations\n"
+          tag i compared (List.length v))
+      viols;
+    let merged = R.merge (replica_snapshots g) in
+    let decodes = R.get merged "erasure/decodes" in
     let fallbacks = R.get merged "erasure/decode_fallbacks" in
     Printf.printf
-      "dissemination: fetch_rtts=%d fetch_bytes=%d frag_recv=%d decodes=%d \
+      "%sdissemination: fetch_rtts=%d fetch_bytes=%d frag_recv=%d decodes=%d \
        decode_failures=%d fallbacks=%d bytes_saved=%d\n%!"
+      tag
       (R.get merged "service/fetch_rtts")
       (R.get merged "service/fetch_bytes")
       (R.get merged "erasure/frag_recv")
-      (R.get merged "erasure/decodes")
+      decodes
       (R.get merged "erasure/decode_failures")
       fallbacks
       (R.get merged "erasure/bytes_saved");
-    let fallback_bound = max 20 (committed / 10) in
-    let coded = Dex_erasure.Dissemination.(equal opts.dissemination Coded) in
-    Dex_runtime.Cluster.shutdown d.S.cluster;
-    Printf.printf "agreement: %d multiply-committed slots compared, %d violations\n" compared
-      (List.length violations);
-    if committed = 0 then `Error (false, "smoke failed: no commits")
-    else if violations <> [] then
-      `Error (false, Printf.sprintf "smoke failed: %d agreement violations" (List.length violations))
-    else if coded && fallbacks > fallback_bound then
-      `Error
-        ( false,
-          Printf.sprintf
-            "smoke failed: %d decode fallbacks > bound %d (coded lane not decoding)"
-            fallbacks fallback_bound )
-    else if overshoot <> [] then
-      `Error
-        ( false,
-          String.concat ", "
-            (List.map
-               (fun (p, s) ->
-                 Printf.sprintf "smoke failed: replica %d applied %d > issued %d (duplicate apply)"
-                   p (counter_of s) report.Dex_service.Client.Load.issued)
-               overshoot) )
-    else begin
-      Printf.printf "smoke OK: %d ops committed, agreement clean, no duplicate applies\n"
-        committed;
-      `Ok ()
-    end
-
-  let restart_one opts =
-    let data_dir =
-      match opts.data_dir with
-      | Some dir -> dir
-      | None ->
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "dex-restart-%d" (Unix.getpid ()))
+    let committed = r.Router.Load.agg.Load.committed in
+    let shards = List.init (G.shard_count g) Fun.id in
+    let idle =
+      List.filter (fun i -> r.Router.Load.per_shard.(i).Router.Load.s_committed = 0) shards
     in
+    let violations = Array.fold_left (fun acc (_, v) -> acc + List.length v) 0 viols in
+    let fallback_bound = max 10 ((decodes + fallbacks) / 10) in
+    let applies i =
+      let { Router.Load.s_issued; s_committed } = r.Router.Load.per_shard.(i) in
+      List.filter_map
+        (fun (p, s) ->
+          let c = counter_of s in
+          if c > s_issued then
+            Some
+              (Printf.sprintf "shard %d replica %d applied %d > issued %d (duplicate apply)" i p
+                 c s_issued)
+          else if acked && c < s_committed then
+            Some
+              (Printf.sprintf "shard %d replica %d applied %d < %d acked commits (lost acks)" i
+                 p c s_committed)
+          else None)
+        (G.deployment g i).S.servers
+    in
+    List.concat
+      [
+        (if committed = 0 then [ "no commits" ]
+         else if idle <> [] then
+           [ Printf.sprintf "shards [%s] committed nothing" (comma_ints idle) ]
+         else []);
+        (if r.Router.Load.misroutes > 0 then
+           [ Printf.sprintf "%d misrouted replies" r.Router.Load.misroutes ]
+         else []);
+        (if violations > 0 then [ Printf.sprintf "%d agreement violations" violations ] else []);
+        List.concat_map applies shards;
+        (if Dex_erasure.Dissemination.(equal opts.dissemination Coded) && fallbacks > fallback_bound
+         then
+           [
+             Printf.sprintf "%d decode fallbacks > bound %d (coded lane not decoding)" fallbacks
+               fallback_bound;
+           ]
+         else []);
+      ]
+
+  (* ------------------------------- gates -------------------------------- *)
+
+  let smoke opts =
+    Printf.printf "smoke: %s mute=[%s] equivocate=[%s]\n%!" (describe opts)
+      (comma_ints opts.mute) (comma_ints opts.equivocate);
+    let g, report, _ = run opts in
+    verdict "smoke" (audit opts g report) (fun () ->
+        Printf.sprintf
+          "smoke OK: %d ops committed across %d shards, 0 misroutes, agreement clean on every \
+           shard, no duplicate applies"
+          report.Router.Load.agg.Load.committed opts.shards)
+
+  let restart opts =
+    let data_dir = Option.value opts.data_dir ~default:(scratch_dir "restart") in
     let opts = { opts with data_dir = Some data_dir } in
     if opts.kill < 0 || opts.kill >= opts.n then failwith "restart: --kill pid out of range";
     if List.mem opts.kill opts.mute || List.mem opts.kill opts.equivocate then
       failwith "restart: --kill must name a correct replica";
-    let d = launch opts in
-    Printf.printf
-      "restart smoke: n=%d t=%d protocol=%s pair=%s data-dir=%s kill=%d down=%.1fs duration=%.1fs\n%!"
-      opts.n opts.t L.name opts.pair_name data_dir opts.kill opts.down opts.duration;
-    let report = ref None in
-    let loader =
-      Thread.create
-        (fun () ->
-          let client =
-            Dex_service.Client.connect ~client:1 (List.map snd d.S.ports)
-          in
-          report := Some (Dex_service.Client.Load.run ~duration:opts.duration client
-                            (workload_of opts));
-          Dex_service.Client.close client)
-        ()
-    in
-    (* Crash mid-load, restart after [down] seconds of missed slots. *)
-    Thread.delay (opts.duration /. 3.0);
-    S.kill_replica d opts.kill;
-    Printf.printf "killed replica %d (WAL abandoned mid-flight)\n%!" opts.kill;
-    Thread.delay opts.down;
-    let restarted = S.restart_replica d opts.kill in
-    let at_restart = S.stats restarted in
-    Printf.printf "restarted replica %d: replayed %d slots from disk, catching up from slot %d\n%!"
-      opts.kill at_restart.S.recovered_slots (S.apply_frontier restarted);
-    Thread.join loader;
-    let report =
-      match !report with Some r -> r | None -> failwith "restart: load thread died"
-    in
-    Format.printf "%a@." Dex_service.Client.Load.pp_report report;
-    (* Convergence: every live replica (the restarted one included) must
-       settle on the same state digest. *)
-    let deadline = Unix.gettimeofday () +. 20.0 in
-    let converged () =
-      (not (S.catching_up restarted))
-      &&
-      match List.map (fun (_, s) -> S.state_digest s) d.S.servers with
-      | [] -> false
-      | digest :: rest -> List.for_all (fun dx -> dx = digest) rest
-    in
-    while (not (converged ())) && Unix.gettimeofday () < deadline do
-      Thread.delay 0.1
-    done;
-    let did_converge = converged () in
-    stop_all d;
-    print_stats d;
-    let rstats = S.stats restarted in
-    (* The gate's recovery report reads the unified registry: the restarted
-       replica's service/durability families plus the deployment-wide net
-       family (its reconnect shows up there). *)
-    let reg = R.merge [ R.snapshot (S.metrics restarted); R.snapshot d.S.net_metrics ] in
-    Printf.printf
-      "recovery: replayed=%d catchup=%d state-transfers=%d snapshots=%d | net reconn=%d\n%!"
-      (R.get reg "service/recovered_slots")
-      (R.get reg "service/catchup_installed")
-      (R.get reg "service/state_transfers")
-      (R.get reg "durability/snapshots")
-      (R.get reg "net/reconnects");
-    let compared, violations = S.agreement_violations d in
-    Printf.printf "agreement: %d multiply-committed slots compared, %d violations\n%!" compared
-      (List.length violations);
-    let committed = report.Dex_service.Client.Load.committed in
-    let issued = report.Dex_service.Client.Load.issued in
-    let counter_of s =
-      match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0
-    in
-    (* Every acknowledged commit is a distinct rid applied exactly once, so
-       each live replica's counter must cover all acked ops (no lost acks)
-       without exceeding what was issued (no duplicate applies). *)
-    let lost =
-      List.filter (fun (_, s) -> counter_of s < committed) d.S.servers
-    in
-    let overshoot = List.filter (fun (_, s) -> counter_of s > issued) d.S.servers in
-    Dex_runtime.Cluster.shutdown d.S.cluster;
-    if committed = 0 then `Error (false, "restart smoke failed: no commits")
-    else if violations <> [] then
-      `Error
-        (false, Printf.sprintf "restart smoke failed: %d agreement violations" (List.length violations))
-    else if not did_converge then
-      `Error
-        ( false,
-          Printf.sprintf "restart smoke failed: replica %d did not converge within 20s"
-            opts.kill )
-    else if lost <> [] then
-      `Error
-        ( false,
-          String.concat ", "
-            (List.map
-               (fun (p, s) ->
-                 Printf.sprintf
-                   "restart smoke failed: replica %d applied %d < %d acked commits (lost acks)"
-                   p (counter_of s) committed)
-               lost) )
-    else if overshoot <> [] then
-      `Error
-        ( false,
-          String.concat ", "
-            (List.map
-               (fun (p, s) ->
-                 Printf.sprintf
-                   "restart smoke failed: replica %d applied %d > issued %d (duplicate apply)"
-                   p (counter_of s) issued)
-               overshoot) )
-    else begin
+    Printf.printf "restart smoke: %s data-dir=%s kill=shard0/%d down=%.1fs duration=%.1fs\n%!"
+      (describe opts) data_dir opts.kill opts.down opts.duration;
+    (* Crash shard 0's replica mid-load, restart it after [down] seconds of
+       missed slots: the crash and its recovery traffic stay inside shard 0,
+       every other group keeps its own WAL root and keeps committing. *)
+    let restarted = ref None in
+    let crash_and_restart g =
+      Thread.delay (opts.duration /. 3.0);
+      G.kill_replica g ~shard:0 opts.kill;
+      Printf.printf "killed shard 0 replica %d (WAL abandoned mid-flight)\n%!" opts.kill;
+      Thread.delay opts.down;
+      let s = G.restart_replica g ~shard:0 opts.kill in
+      restarted := Some s;
       Printf.printf
-        "restart smoke OK: %d ops committed, replica %d recovered (replay %d + catchup %d + xfer %d), digests converged, no lost acks, no duplicate applies\n"
-        committed opts.kill rstats.S.recovered_slots rstats.S.catchup_installed
-        rstats.S.state_transfers;
-      `Ok ()
-    end
+        "restarted shard 0 replica %d: replayed %d slots from disk, catching up from slot %d\n%!"
+        opts.kill (S.stats s).S.recovered_slots (S.apply_frontier s)
+    in
+    (* Convergence: every live replica (the restarted one included) must
+       settle on its shard's one state digest. *)
+    let converged g =
+      (match !restarted with Some s -> not (S.catching_up s) | None -> false)
+      && Array.for_all
+           (fun d ->
+             match List.map (fun (_, s) -> S.state_digest s) d.S.servers with
+             | [] -> false
+             | digest :: rest -> List.for_all (fun dx -> dx = digest) rest)
+           (G.deployments g)
+    in
+    let did_converge = ref false in
+    let await_convergence g =
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      while (not (converged g)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.1
+      done;
+      did_converge := converged g
+    in
+    let g, report, crash_err = run ~during:crash_and_restart ~settle:await_convergence opts in
+    (* The recovery report reads the unified registry: the restarted
+       replica's service/durability families plus the shared runtime's net
+       family (its reconnect shows up there). *)
+    Option.iter
+      (fun s ->
+        let reg = R.merge [ R.snapshot (S.metrics s); G.runtime_snapshot g ] in
+        Printf.printf
+          "recovery: replayed=%d catchup=%d state-transfers=%d snapshots=%d | net reconn=%d\n%!"
+          (R.get reg "service/recovered_slots")
+          (R.get reg "service/catchup_installed")
+          (R.get reg "service/state_transfers")
+          (R.get reg "durability/snapshots")
+          (R.get reg "net/reconnects"))
+      !restarted;
+    let failures =
+      audit ~acked:true opts g report
+      @ (if !did_converge then []
+         else [ Printf.sprintf "shard 0 replica %d did not converge within 20s" opts.kill ])
+      @ Option.to_list (Option.map (fun e -> "crash/restart driver: " ^ e) crash_err)
+    in
+    verdict "restart smoke" failures (fun () ->
+        let rstats = S.stats (Option.get !restarted) in
+        Printf.sprintf
+          "restart smoke OK: %d ops committed across %d shards, shard 0 replica %d recovered \
+           (replay %d + catchup %d + xfer %d), digests converged, no lost acks, no duplicate \
+           applies"
+          report.Router.Load.agg.Load.committed opts.shards opts.kill rstats.S.recovered_slots
+          rstats.S.catchup_installed rstats.S.state_transfers)
 
   (* ------------------------------ gauntlet ------------------------------ *)
 
@@ -490,12 +532,12 @@ module Run (L : PL.LANE) = struct
   (* The lane's expedited-path fraction of decided commits: [L.fast_path]
      selects which provenance counters count as fast (one-step for dex,
      two-step for the two-step and hbft lanes). *)
-  let fast_fraction (r : Dex_service.Client.Load.report) =
+  let fast_fraction (r : Load.report) =
     let count p =
       match p with
-      | PL.One_step -> r.Dex_service.Client.Load.one_step
-      | PL.Two_step -> r.Dex_service.Client.Load.two_step
-      | PL.Underlying -> r.Dex_service.Client.Load.underlying
+      | PL.One_step -> r.Load.one_step
+      | PL.Two_step -> r.Load.two_step
+      | PL.Underlying -> r.Load.underlying
     in
     let decided = List.fold_left (fun acc p -> acc + count p) 0 PL.all_provenances in
     let fast =
@@ -505,474 +547,19 @@ module Run (L : PL.LANE) = struct
     in
     if decided = 0 then 0.0 else float_of_int fast /. float_of_int decided
 
-  let pp_phase label (r : Dex_service.Client.Load.report) =
+  let pp_phase label (r : Load.report) =
     let lat =
-      match r.Dex_service.Client.Load.latency with
+      match r.Load.latency with
       | Some s -> Printf.sprintf " p50=%.2fms p99=%.2fms" s.Dex_metrics.Stats.p50 s.p99
       | None -> ""
     in
     Printf.printf
       "[%s] committed=%d failed=%d fast-path=%.1f%% (1s=%d 2s=%d und=%d)%s thrpt=%.0f/s\n%!"
-      label r.Dex_service.Client.Load.committed r.failed
+      label r.Load.committed r.failed
       (100.0 *. fast_fraction r)
-      r.Dex_service.Client.Load.one_step r.two_step r.underlying lat r.throughput
+      r.Load.one_step r.two_step r.underlying lat r.throughput
 
-  (* One load phase: launch (optionally chaos-wrapped), drive a closed-loop
-     client for the full duration while the plan's storm/churn schedule is
-     executed on a side thread, then stop, audit (agreement + duplicate
-     applies) and tear down. *)
-  let drive_phase opts ~roles ~chaos ~data_dir =
-    let opts = { opts with data_dir } in
-    let d = launch ~roles ?chaos opts in
-    let sched_err = ref None in
-    let scheduler =
-      match chaos with
-      | None -> None
-      | Some _ ->
-        Some
-          (Thread.create
-             (fun () ->
-               try S.run_chaos_schedule d
-               with e -> sched_err := Some (Printexc.to_string e))
-             ())
-    in
-    let client =
-      Dex_service.Client.connect ~client:1 (List.map snd d.S.ports)
-    in
-    let report =
-      Dex_service.Client.Load.run ~duration:opts.duration client (workload_of opts)
-    in
-    Dex_service.Client.close client;
-    Option.iter Thread.join scheduler;
-    (* Stragglers settle under honest behaviour: a plan may end mid-churn. *)
-    List.iter (fun (_, cell) -> cell := Dex_net.Adversary.Churn_honest) d.S.churn_cells;
-    Thread.delay 0.5;
-    stop_all d;
-    let compared, violations = S.agreement_violations d in
-    let counter_of s =
-      match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0
-    in
-    let overshoot =
-      List.filter
-        (fun (_, s) -> counter_of s > report.Dex_service.Client.Load.issued)
-        d.S.servers
-    in
-    (report, compared, violations, overshoot, !sched_err)
-
-  let gauntlet_one opts =
-    let spec =
-      match opts.chaos_plan with
-      | Some file -> FP.load ~file
-      | None -> builtin_gauntlet_spec opts
-    in
-    (match FP.validate ~n:opts.n ~t:opts.t spec with
-    | Ok () -> ()
-    | Error e -> failwith (Printf.sprintf "gauntlet: invalid fault plan: %s" e));
-    let churn_pids =
-      List.sort_uniq compare (List.map (fun e -> e.FP.c_pid) spec.FP.churn)
-    in
-    let storm_pids =
-      List.sort_uniq compare (List.map (fun e -> e.FP.s_pid) spec.FP.storm)
-    in
-    (match List.filter (fun p -> List.mem p churn_pids) storm_pids with
-    | [] -> ()
-    | clash ->
-      failwith
-        (Printf.sprintf
-           "gauntlet: pids %s appear in both storm and churn schedules — a restarted \
-            replica loses its churn wrapper"
-           (String.concat "," (List.map string_of_int clash))));
-    let roles p = if List.mem p churn_pids then Dex_service.Server.Churn else roles_of opts p in
-    (* Crash-restart recovers from disk: default to a scratch data dir. *)
-    let base_dir =
-      match opts.data_dir with
-      | Some dir -> dir
-      | None ->
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "dex-gauntlet-%d" (Unix.getpid ()))
-    in
-    Printf.printf
-      "gauntlet: n=%d t=%d protocol=%s pair=%s dissemination=%s duration=%.1fs plan=%s (%d \
-       rules, %d cuts, %d storm, %d churn; seed %d)\n%!"
-      opts.n opts.t L.name opts.pair_name
-      (Dex_erasure.Dissemination.to_string opts.dissemination)
-      opts.duration
-      (match opts.chaos_plan with Some f -> f | None -> "builtin")
-      (List.length spec.FP.rules) (List.length spec.FP.cuts) (List.length spec.FP.storm)
-      (List.length spec.FP.churn) spec.FP.seed;
-    (* Clean baseline first: same config, same load, no faults — the
-       reference one-step fraction and latency profile. *)
-    let base_report, base_compared, base_viol, base_over, _ =
-      drive_phase opts
-        ~roles:(fun _ -> Dex_service.Server.Correct)
-        ~chaos:None
-        ~data_dir:(Some (Filename.concat base_dir "baseline"))
-    in
-    pp_phase "baseline" base_report;
-    let chaos_reg = R.create () in
-    let plan = FP.make ~metrics:chaos_reg spec in
-    let report, compared, violations, overshoot, sched_err =
-      drive_phase opts ~roles ~chaos:(Some plan)
-        ~data_dir:(Some (Filename.concat base_dir "chaos"))
-    in
-    pp_phase "chaos" report;
-    Printf.printf "[chaos] injected: %s\n%!"
-      (Format.asprintf "%a" FP.pp_counts (FP.counts plan));
-    Printf.printf
-      "agreement: baseline %d slots compared (%d violations), chaos %d slots compared (%d \
-       violations)\n%!"
-      base_compared (List.length base_viol) compared (List.length violations);
-    let base_frac = fast_fraction base_report and chaos_frac = fast_fraction report in
-    Printf.printf "fast-path fraction: baseline %.1f%% -> chaos %.1f%%\n%!"
-      (100.0 *. base_frac) (100.0 *. chaos_frac);
-    let committed = report.Dex_service.Client.Load.committed in
-    if base_report.Dex_service.Client.Load.committed = 0 then
-      `Error (false, "gauntlet failed: baseline committed nothing")
-    else if committed = 0 then `Error (false, "gauntlet failed: no commits under chaos")
-    else if base_viol <> [] || violations <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "gauntlet failed: %d agreement violations"
-            (List.length base_viol + List.length violations) )
-    else if base_over <> [] || overshoot <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "gauntlet failed: %d replicas overshot issued ops (duplicate apply)"
-            (List.length base_over + List.length overshoot) )
-    else if sched_err <> None then
-      `Error
-        (false, Printf.sprintf "gauntlet failed: schedule driver: %s" (Option.get sched_err))
-    else begin
-      Printf.printf
-        "gauntlet OK: survived %d committed ops under chaos, agreement clean, no duplicate \
-         applies\n"
-        committed;
-      `Ok ()
-    end
-
-  (* --------------------------- sharded variants --------------------------- *)
-
-  (* `--shards N` (N > 1) lifts every command over a {!G.t} group set: the
-     same gates as the single-group lane, applied per shard, plus the
-     router's own invariants (zero misroutes, every shard takes work). *)
-
-  let print_ports_set g =
-    Array.iteri
-      (fun i d ->
-        List.iter
-          (fun (p, port) -> Printf.printf "shard %d replica %d: 127.0.0.1:%d\n%!" i p port)
-          d.S.ports)
-      (G.deployments g)
-
-  let print_stats_set g =
-    Array.iteri
-      (fun i d ->
-        List.iter
-          (fun (p, s) -> Format.printf "shard %d replica %d: %a@." i p S.pp_stats (S.stats s))
-          d.S.servers)
-      (G.deployments g)
-
-  (* The sharded `--stats` heartbeat off {!G.snapshot}: per-shard service
-     totals under their [shard<i>/] prefixes, then the shared mesh's
-     unprefixed [net/*] family. *)
-  let stats_line_set g =
-    let snap = G.snapshot g in
-    let shard_part i =
-      let get name = R.get snap (Printf.sprintf "shard%d/%s" i name) in
-      let wal =
-        if not (List.mem_assoc (Printf.sprintf "shard%d/wal/appends" i) snap) then ""
-        else Printf.sprintf " wal=%d" (get "wal/appends")
-      in
-      Printf.sprintf "s%d slots=%d applied=%d busy=%d%s" i
-        (get "service/committed_slots")
-        (get "service/applied")
-        (get "service/busy_rejections")
-        wal
-    in
-    let parts = List.init (G.shard_count g) shard_part in
-    Printf.printf "[stats] %s | net reconn=%d backoff=%d drop=%d\n%!"
-      (String.concat " | " parts) (R.get snap "net/reconnects") (R.get snap "net/backoffs")
-      (R.get snap "net/drops")
-
-  let counter_of_s s =
-    match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0
-
-  (* Per-shard audit: each group's agreement invariant, and no replica of
-     shard [i] applying more Adds than the router routed to shard [i]. *)
-  let audit_set g (report : Router.Load.report) =
-    let viols = G.agreement_violations g in
-    let overshoot = ref [] in
-    Array.iteri
-      (fun i d ->
-        let issued = report.Router.Load.per_shard.(i).Router.Load.s_issued in
-        List.iter
-          (fun (p, s) ->
-            if counter_of_s s > issued then
-              overshoot := (i, p, counter_of_s s, issued) :: !overshoot)
-          d.S.servers)
-      (G.deployments g);
-    (viols, List.rev !overshoot)
-
-  let total_viol vs = Array.fold_left (fun acc (_, v) -> acc + List.length v) 0 vs
-
-  let print_agreement_set ?(tag = "") viols =
-    Array.iteri
-      (fun i (compared, violations) ->
-        Printf.printf
-          "%sshard %d agreement: %d multiply-committed slots compared, %d violations\n%!" tag i
-          compared (List.length violations))
-      viols
-
-  let pp_overshoot_set tag overshoot =
-    String.concat ", "
-      (List.map
-         (fun (i, p, got, issued) ->
-           Printf.sprintf "%s: shard %d replica %d applied %d > issued %d (duplicate apply)"
-             tag i p got issued)
-         overshoot)
-
-  let serve_set opts =
-    let g = launch_set opts in
-    Printf.printf "service up: n=%d t=%d shards=%d map=%s protocol=%s pair=%s durability=%s\n"
-      opts.n opts.t opts.shards
-      (Dex_shard.Shard_map.to_string (G.map g))
-      L.name opts.pair_name
-      (match opts.data_dir with
-      | Some dir -> Filename.concat dir "shard-<i>"
-      | None -> "off");
-    print_ports_set g;
-    let heartbeat = if opts.stats_every > 0.0 then opts.stats_every else 10.0 in
-    let report () = if opts.stats_every > 0.0 then stats_line_set g else print_stats_set g in
-    if opts.duration > 0.0 then begin
-      let rec wait left =
-        if left > 0.0 then begin
-          let step = Float.min heartbeat left in
-          Thread.delay step;
-          if left -. step > 0.0 then report ();
-          wait (left -. step)
-        end
-      in
-      wait opts.duration;
-      print_stats_set g;
-      G.shutdown g;
-      `Ok ()
-    end
-    else begin
-      while true do
-        Thread.delay heartbeat;
-        report ()
-      done;
-      `Ok ()
-    end
-
-  let smoke_set opts =
-    let g = launch_set opts in
-    Printf.printf "smoke: n=%d t=%d shards=%d map=%s protocol=%s pair=%s mute=[%s] equivocate=[%s]\n%!"
-      opts.n opts.t opts.shards
-      (Dex_shard.Shard_map.to_string (G.map g))
-      L.name opts.pair_name
-      (String.concat "," (List.map string_of_int opts.mute))
-      (String.concat "," (List.map string_of_int opts.equivocate));
-    let router =
-      Router.connect ~map:(G.map g) ~client:1
-        (Array.to_list (G.ports g))
-    in
-    let report =
-      Router.Load.run_many ~clients:(16 * opts.shards) ~duration:opts.duration router
-        (fun _ -> Sm.Add ("k", 1))
-    in
-    Format.printf "%a@." Router.Load.pp_report report;
-    (* Let stragglers apply before inspecting replica state. *)
-    Thread.delay 0.5;
-    Router.close router;
-    Array.iter stop_all (G.deployments g);
-    let viols, overshoot = audit_set g report in
-    let empty_shards =
-      List.filter
-        (fun i -> report.Router.Load.per_shard.(i).Router.Load.s_committed = 0)
-        (List.init opts.shards Fun.id)
-    in
-    G.shutdown g;
-    print_agreement_set viols;
-    let committed = report.Router.Load.agg.Dex_service.Client.Load.committed in
-    if committed = 0 then `Error (false, "smoke failed: no commits")
-    else if report.Router.Load.misroutes > 0 then
-      `Error
-        (false, Printf.sprintf "smoke failed: %d misrouted replies" report.Router.Load.misroutes)
-    else if empty_shards <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "smoke failed: shards [%s] committed nothing"
-            (String.concat "," (List.map string_of_int empty_shards)) )
-    else if total_viol viols > 0 then
-      `Error (false, Printf.sprintf "smoke failed: %d agreement violations" (total_viol viols))
-    else if overshoot <> [] then `Error (false, pp_overshoot_set "smoke failed" overshoot)
-    else begin
-      Printf.printf
-        "smoke OK: %d ops committed across %d shards, 0 misroutes, agreement clean on every \
-         shard, no duplicate applies\n"
-        committed opts.shards;
-      `Ok ()
-    end
-
-  let restart_set opts =
-    let data_dir =
-      match opts.data_dir with
-      | Some dir -> dir
-      | None ->
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "dex-restart-shards-%d" (Unix.getpid ()))
-    in
-    let opts = { opts with data_dir = Some data_dir } in
-    if opts.kill < 0 || opts.kill >= opts.n then failwith "restart: --kill pid out of range";
-    if List.mem opts.kill opts.mute || List.mem opts.kill opts.equivocate then
-      failwith "restart: --kill must name a correct replica";
-    let g = launch_set opts in
-    Printf.printf
-      "restart smoke: n=%d t=%d shards=%d protocol=%s pair=%s data-dir=%s kill=shard0/%d \
-       down=%.1fs duration=%.1fs\n%!"
-      opts.n opts.t opts.shards L.name opts.pair_name data_dir opts.kill opts.down
-      opts.duration;
-    let report = ref None in
-    let loader =
-      Thread.create
-        (fun () ->
-          let router =
-            Router.connect ~map:(G.map g) ~client:1
-              (Array.to_list (G.ports g))
-          in
-          report :=
-            Some
-              (Router.Load.run_many ~clients:(16 * opts.shards) ~duration:opts.duration
-                 router
-                 (fun _ -> Sm.Add ("k", 1)));
-          Router.close router)
-        ()
-    in
-    (* Crash shard 0's replica mid-load: the crash and its recovery traffic
-       must stay inside shard 0 — every other group keeps its own WAL root
-       and keeps committing untouched. *)
-    Thread.delay (opts.duration /. 3.0);
-    G.kill_replica g ~shard:0 opts.kill;
-    Printf.printf "killed shard 0 replica %d (WAL abandoned mid-flight)\n%!" opts.kill;
-    Thread.delay opts.down;
-    let restarted = G.restart_replica g ~shard:0 opts.kill in
-    let at_restart = S.stats restarted in
-    Printf.printf
-      "restarted shard 0 replica %d: replayed %d slots from disk, catching up from slot %d\n%!"
-      opts.kill at_restart.S.recovered_slots (S.apply_frontier restarted);
-    Thread.join loader;
-    let report =
-      match !report with Some r -> r | None -> failwith "restart: load thread died"
-    in
-    Format.printf "%a@." Router.Load.pp_report report;
-    let d0 = G.deployment g 0 in
-    let deadline = Unix.gettimeofday () +. 20.0 in
-    let converged () =
-      (not (S.catching_up restarted))
-      &&
-      match List.map (fun (_, s) -> S.state_digest s) d0.S.servers with
-      | [] -> false
-      | digest :: rest -> List.for_all (fun dx -> dx = digest) rest
-    in
-    while (not (converged ())) && Unix.gettimeofday () < deadline do
-      Thread.delay 0.1
-    done;
-    let did_converge = converged () in
-    Array.iter stop_all (G.deployments g);
-    let reg = R.merge [ R.snapshot (S.metrics restarted); R.snapshot d0.S.net_metrics ] in
-    Printf.printf
-      "recovery: replayed=%d catchup=%d state-transfers=%d snapshots=%d | net reconn=%d\n%!"
-      (R.get reg "service/recovered_slots")
-      (R.get reg "service/catchup_installed")
-      (R.get reg "service/state_transfers")
-      (R.get reg "durability/snapshots")
-      (R.get reg "net/reconnects");
-    let viols, overshoot = audit_set g report in
-    (* Shard 0's acked commits must survive the crash on every shard-0
-       replica, the restarted one included. *)
-    let committed0 = report.Router.Load.per_shard.(0).Router.Load.s_committed in
-    let lost = List.filter (fun (_, s) -> counter_of_s s < committed0) d0.S.servers in
-    G.shutdown g;
-    print_agreement_set viols;
-    let committed = report.Router.Load.agg.Dex_service.Client.Load.committed in
-    if committed = 0 then `Error (false, "restart smoke failed: no commits")
-    else if report.Router.Load.misroutes > 0 then
-      `Error
-        ( false,
-          Printf.sprintf "restart smoke failed: %d misrouted replies"
-            report.Router.Load.misroutes )
-    else if total_viol viols > 0 then
-      `Error
-        ( false,
-          Printf.sprintf "restart smoke failed: %d agreement violations" (total_viol viols) )
-    else if not did_converge then
-      `Error
-        ( false,
-          Printf.sprintf "restart smoke failed: shard 0 replica %d did not converge within 20s"
-            opts.kill )
-    else if lost <> [] then
-      `Error
-        ( false,
-          String.concat ", "
-            (List.map
-               (fun (p, s) ->
-                 Printf.sprintf
-                   "restart smoke failed: shard 0 replica %d applied %d < %d acked commits \
-                    (lost acks)"
-                   p (counter_of_s s) committed0)
-               lost) )
-    else if overshoot <> [] then
-      `Error (false, pp_overshoot_set "restart smoke failed" overshoot)
-    else begin
-      let rstats = S.stats restarted in
-      Printf.printf
-        "restart smoke OK: %d ops committed across %d shards, shard 0 replica %d recovered \
-         (replay %d + catchup %d + xfer %d), digests converged, no lost acks, no duplicate \
-         applies\n"
-        committed opts.shards opts.kill rstats.S.recovered_slots rstats.S.catchup_installed
-        rstats.S.state_transfers;
-      `Ok ()
-    end
-
-  (* One sharded load phase: the fault plan (if any) fronts shard 0's
-     transport view only; the load covers every shard through the router. *)
-  let drive_phase_set opts ~roles ~chaos ~data_dir =
-    let opts = { opts with data_dir } in
-    let g = launch_set ~roles ?chaos:(Option.map (fun p -> (0, p)) chaos) opts in
-    let sched_err = ref None in
-    let scheduler =
-      match chaos with
-      | None -> None
-      | Some _ ->
-        Some
-          (Thread.create
-             (fun () ->
-               try G.run_chaos_schedule g
-               with e -> sched_err := Some (Printexc.to_string e))
-             ())
-    in
-    let router =
-      Router.connect ~map:(G.map g) ~client:1
-        (Array.to_list (G.ports g))
-    in
-    let report =
-      Router.Load.run_many ~clients:(16 * opts.shards) ~duration:opts.duration router
-        (fun _ -> Sm.Add ("k", 1))
-    in
-    Router.close router;
-    Option.iter Thread.join scheduler;
-    Array.iter
-      (fun d ->
-        List.iter (fun (_, cell) -> cell := Dex_net.Adversary.Churn_honest) d.S.churn_cells)
-      (G.deployments g);
-    Thread.delay 0.5;
-    Array.iter stop_all (G.deployments g);
-    let viols, overshoot = audit_set g report in
-    G.shutdown g;
-    (report, viols, overshoot, !sched_err)
-
-  let gauntlet_set opts =
+  let gauntlet opts =
     let spec =
       match opts.chaos_plan with
       | Some file -> FP.load ~file
@@ -990,174 +577,98 @@ module Run (L : PL.LANE) = struct
         (Printf.sprintf
            "gauntlet: pids %s appear in both storm and churn schedules — a restarted \
             replica loses its churn wrapper"
-           (String.concat "," (List.map string_of_int clash))));
-    (* The whole plan lands on shard 0 — its links, its storm, its churn.
-       Shards 1..k-1 run clean, and the blast-radius gate below holds them
-       to keep committing throughout. *)
-    let roles ~shard p =
-      if shard = 0 && List.mem p churn_pids then Dex_service.Server.Churn else roles_of opts p
-    in
-    let base_dir =
-      match opts.data_dir with
-      | Some dir -> dir
-      | None ->
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "dex-gauntlet-shards-%d" (Unix.getpid ()))
-    in
+           (comma_ints clash)));
+    (* Crash-restart recovers from disk: default to a scratch data dir. *)
+    let base_dir = Option.value opts.data_dir ~default:(scratch_dir "gauntlet") in
     Printf.printf
-      "gauntlet: n=%d t=%d shards=%d (chaos confined to shard 0) protocol=%s pair=%s \
-       duration=%.1fs plan=%s (%d rules, %d cuts, %d storm, %d churn; seed %d)\n%!"
-      opts.n opts.t opts.shards L.name opts.pair_name
-      opts.duration
+      "gauntlet: %s duration=%.1fs plan=%s (%d rules, %d cuts, %d storm, %d churn; seed %d; \
+       chaos on shard 0)\n%!"
+      (describe opts) opts.duration
       (match opts.chaos_plan with Some f -> f | None -> "builtin")
       (List.length spec.FP.rules) (List.length spec.FP.cuts) (List.length spec.FP.storm)
       (List.length spec.FP.churn) spec.FP.seed;
-    let base_report, base_viols, base_over, _ =
-      drive_phase_set opts
-        ~roles:(fun ~shard:_ _ -> Dex_service.Server.Correct)
-        ~chaos:None
-        ~data_dir:(Some (Filename.concat base_dir "baseline"))
+    let phase label ~roles ?chaos ?during () =
+      let g, report, err =
+        run ~roles ?chaos ?during
+          { opts with data_dir = Some (Filename.concat base_dir label) }
+      in
+      pp_phase label report.Router.Load.agg;
+      let failures =
+        audit ~tag:(Printf.sprintf "[%s] " label) opts g report
+        @ Option.to_list (Option.map (fun e -> "schedule driver: " ^ e) err)
+      in
+      (report, List.map (fun f -> label ^ ": " ^ f) failures)
     in
-    pp_phase "baseline" base_report.Router.Load.agg;
-    let chaos_reg = R.create () in
-    let plan = FP.make ~metrics:chaos_reg spec in
-    let report, viols, overshoot, sched_err =
-      drive_phase_set opts ~roles ~chaos:(Some plan)
-        ~data_dir:(Some (Filename.concat base_dir "chaos"))
+    (* Clean baseline first: same config, same load, no faults — the
+       reference fast-path fraction and latency profile. *)
+    let base_report, base_failures =
+      phase "baseline" ~roles:(fun ~shard:_ _ -> Dex_service.Server.Correct) ()
     in
-    pp_phase "chaos" report.Router.Load.agg;
-    Printf.printf "[chaos] injected: %s\n%!"
-      (Format.asprintf "%a" FP.pp_counts (FP.counts plan));
-    Array.iteri
-      (fun i st ->
-        Printf.printf "shard %d under chaos: issued=%d committed=%d%s\n%!" i
-          st.Router.Load.s_issued st.Router.Load.s_committed
-          (if i = 0 then " (chaos target)" else ""))
-      report.Router.Load.per_shard;
-    print_agreement_set ~tag:"[baseline] " base_viols;
-    print_agreement_set ~tag:"[chaos] " viols;
-    let base_frac = fast_fraction base_report.Router.Load.agg in
-    let chaos_frac = fast_fraction report.Router.Load.agg in
+    (* The whole plan lands on shard 0 — its links, its storm, its churn;
+       shards 1..k-1 run clean, and the audit holds every shard to keep
+       committing throughout (blast-radius isolation). *)
+    let plan = FP.make ~metrics:(R.create ()) spec in
+    let report, failures =
+      phase "chaos"
+        ~roles:(fun ~shard p ->
+          if shard = 0 && List.mem p churn_pids then Dex_service.Server.Churn
+          else roles_of opts p)
+        ~chaos:(0, plan) ~during:G.run_chaos_schedule ()
+    in
+    Printf.printf "[chaos] injected: %s\n%!" (Format.asprintf "%a" FP.pp_counts (FP.counts plan));
     Printf.printf "fast-path fraction: baseline %.1f%% -> chaos %.1f%%\n%!"
-      (100.0 *. base_frac) (100.0 *. chaos_frac);
-    (* Blast radius: chaos was injected into shard 0 only, so every healthy
-       shard must have kept committing for the whole phase. *)
-    let dead_healthy =
-      List.filter
-        (fun i -> report.Router.Load.per_shard.(i).Router.Load.s_committed = 0)
-        (List.tl (List.init opts.shards Fun.id))
-    in
-    let committed = report.Router.Load.agg.Dex_service.Client.Load.committed in
-    if base_report.Router.Load.agg.Dex_service.Client.Load.committed = 0 then
-      `Error (false, "gauntlet failed: baseline committed nothing")
-    else if committed = 0 then `Error (false, "gauntlet failed: no commits under chaos")
-    else if base_report.Router.Load.misroutes > 0 || report.Router.Load.misroutes > 0 then
-      `Error
-        ( false,
-          Printf.sprintf "gauntlet failed: %d misrouted replies"
-            (base_report.Router.Load.misroutes + report.Router.Load.misroutes) )
-    else if total_viol base_viols > 0 || total_viol viols > 0 then
-      `Error
-        ( false,
-          Printf.sprintf "gauntlet failed: %d agreement violations"
-            (total_viol base_viols + total_viol viols) )
-    else if base_over <> [] || overshoot <> [] then
-      `Error
-        ( false,
-          Printf.sprintf "gauntlet failed: %d replicas overshot issued ops (duplicate apply)"
-            (List.length base_over + List.length overshoot) )
-    else if dead_healthy <> [] then
-      `Error
-        ( false,
-          Printf.sprintf
-            "gauntlet failed: healthy shards [%s] committed nothing while shard 0 took the \
-             chaos (blast radius escaped)"
-            (String.concat "," (List.map string_of_int dead_healthy)) )
-    else if sched_err <> None then
-      `Error
-        (false, Printf.sprintf "gauntlet failed: schedule driver: %s" (Option.get sched_err))
-    else begin
-      Printf.printf
-        "gauntlet OK: %d ops committed with chaos confined to shard 0; every healthy shard \
-         kept committing, agreement clean on all shards, no duplicate applies\n"
-        committed;
-      `Ok ()
-    end
-
-  let serve opts = if opts.shards > 1 then serve_set opts else serve_one opts
-  let smoke opts = if opts.shards > 1 then smoke_set opts else smoke_one opts
-  let restart opts = if opts.shards > 1 then restart_set opts else restart_one opts
-  let gauntlet opts = if opts.shards > 1 then gauntlet_set opts else gauntlet_one opts
+      (100.0 *. fast_fraction base_report.Router.Load.agg)
+      (100.0 *. fast_fraction report.Router.Load.agg);
+    verdict "gauntlet" (base_failures @ failures) (fun () ->
+        Printf.sprintf
+          "gauntlet OK: %d ops committed under chaos on shard 0; every shard kept committing, \
+           agreement clean on all shards, no duplicate applies"
+          report.Router.Load.agg.Load.committed)
 end
 
-module Run_dex_oracle = Run (Dex_core.Dex.Lane (Uc_oracle))
-module Run_dex_leader = Run (Dex_core.Dex.Lane (Uc_leader))
-module Run_kc_oracle = Run (Dex_baselines.Kuo_chen.Lane (Uc_oracle))
-module Run_kc_leader = Run (Dex_baselines.Kuo_chen.Lane (Uc_leader))
-module Run_hbft_oracle = Run (Dex_baselines.Hbft.Lane (Uc_oracle))
-module Run_hbft_leader = Run (Dex_baselines.Hbft.Lane (Uc_leader))
+let lane_of id uc : (module PL.LANE) =
+  match (id, uc) with
+  | PL.Dex, `Oracle -> (module Dex_core.Dex.Lane (Uc_oracle))
+  | PL.Dex, `Leader -> (module Dex_core.Dex.Lane (Uc_leader))
+  | PL.Kuo_chen, `Oracle -> (module Dex_baselines.Kuo_chen.Lane (Uc_oracle))
+  | PL.Kuo_chen, `Leader -> (module Dex_baselines.Kuo_chen.Lane (Uc_leader))
+  | PL.Hbft, `Oracle -> (module Dex_baselines.Hbft.Lane (Uc_oracle))
+  | PL.Hbft, `Leader -> (module Dex_baselines.Hbft.Lane (Uc_leader))
 
-type outcome = [ `Ok of unit | `Error of bool * string ]
+(* Pids named on the command line must exist, and a replica plays at most
+   one Byzantine role. *)
+let check_pids opts =
+  let out_of_range = List.filter (fun p -> p < 0 || p >= opts.n) (opts.mute @ opts.equivocate) in
+  let both = List.filter (fun p -> List.mem p opts.equivocate) opts.mute in
+  if out_of_range <> [] then
+    Some (Printf.sprintf "pids [%s] out of range [0, %d)" (comma_ints out_of_range) opts.n)
+  else if both <> [] then
+    Some (Printf.sprintf "pids [%s] named in both --mute and --equivocate" (comma_ints both))
+  else None
 
-(* One record of entry points per lane x uc instantiation, so subcommand
-   dispatch is a value-level lookup over the six functor applications. *)
-type runner = {
-  r_serve : opts -> outcome;
-  r_smoke : opts -> outcome;
-  r_restart : opts -> outcome;
-  r_gauntlet : opts -> outcome;
-}
-
-let guard f opts : outcome =
-  try f opts with
-  | Pair.Assumption_violated m -> `Error (false, m)
-  | Failure m -> `Error (false, m)
-  | Invalid_argument m -> `Error (false, m)
-
-let runner_dex_oracle =
-  { r_serve = guard Run_dex_oracle.serve; r_smoke = guard Run_dex_oracle.smoke;
-    r_restart = guard Run_dex_oracle.restart; r_gauntlet = guard Run_dex_oracle.gauntlet }
-
-let runner_dex_leader =
-  { r_serve = guard Run_dex_leader.serve; r_smoke = guard Run_dex_leader.smoke;
-    r_restart = guard Run_dex_leader.restart; r_gauntlet = guard Run_dex_leader.gauntlet }
-
-let runner_kc_oracle =
-  { r_serve = guard Run_kc_oracle.serve; r_smoke = guard Run_kc_oracle.smoke;
-    r_restart = guard Run_kc_oracle.restart; r_gauntlet = guard Run_kc_oracle.gauntlet }
-
-let runner_kc_leader =
-  { r_serve = guard Run_kc_leader.serve; r_smoke = guard Run_kc_leader.smoke;
-    r_restart = guard Run_kc_leader.restart; r_gauntlet = guard Run_kc_leader.gauntlet }
-
-let runner_hbft_oracle =
-  { r_serve = guard Run_hbft_oracle.serve; r_smoke = guard Run_hbft_oracle.smoke;
-    r_restart = guard Run_hbft_oracle.restart; r_gauntlet = guard Run_hbft_oracle.gauntlet }
-
-let runner_hbft_leader =
-  { r_serve = guard Run_hbft_leader.serve; r_smoke = guard Run_hbft_leader.smoke;
-    r_restart = guard Run_hbft_leader.restart; r_gauntlet = guard Run_hbft_leader.gauntlet }
-
-let dispatch sel uc protocol opts : unit Term.ret =
-  match (PL.id_of_string protocol, uc) with
-  | None, _ ->
+let dispatch gate uc_name protocol opts : unit Term.ret =
+  let uc =
+    match uc_name with "oracle" -> Some `Oracle | "leader" -> Some `Leader | _ -> None
+  in
+  match (PL.id_of_string protocol, uc, check_pids opts) with
+  | None, _, _ ->
     `Error
       (false, Printf.sprintf "unknown protocol %S (use dex, two-step or hbft)" protocol)
-  | Some id, ("oracle" | "leader") ->
-    if String.equal uc "leader" then
-      (* Round timeouts in seconds on the thread runtime. *)
-      Uc_leader.timeout_base := 0.25;
-    let r =
-      match (id, uc) with
-      | PL.Dex, "oracle" -> runner_dex_oracle
-      | PL.Dex, _ -> runner_dex_leader
-      | PL.Kuo_chen, "oracle" -> runner_kc_oracle
-      | PL.Kuo_chen, _ -> runner_kc_leader
-      | PL.Hbft, "oracle" -> runner_hbft_oracle
-      | PL.Hbft, _ -> runner_hbft_leader
+  | _, None, _ -> `Error (false, Printf.sprintf "unknown uc %S (use oracle or leader)" uc_name)
+  | _, _, Some usage -> `Error (true, usage)
+  | Some id, Some uc, None -> (
+    (* Round timeouts in seconds on the thread runtime. *)
+    if uc = `Leader then Uc_leader.timeout_base := 0.25;
+    let module Run = Run ((val lane_of id uc)) in
+    let run =
+      match gate with
+      | `Serve -> Run.serve
+      | `Smoke -> Run.smoke
+      | `Restart -> Run.restart
+      | `Gauntlet -> Run.gauntlet
     in
-    (sel r opts :> unit Term.ret)
-  | _, other -> `Error (false, Printf.sprintf "unknown uc %S (use oracle or leader)" other)
+    try (run opts :> unit Term.ret) with
+    | Pair.Assumption_violated m | Failure m | Invalid_argument m -> `Error (false, m))
 
 (* ----------------------------- options ----------------------------- *)
 
@@ -1169,11 +680,11 @@ let pid_list_t names doc =
         try Ok (List.map int_of_string (String.split_on_char ',' s))
         with Failure _ -> Error (`Msg "expected a comma-separated pid list")
     in
-    Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (String.concat "," (List.map string_of_int l)))
+    Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (comma_ints l))
   in
   Arg.(value & opt conv_pids [] & info names ~doc)
 
-let opts_t ~default_n ~default_t ~default_duration ~default_mute =
+let opts_t ?(mute_last = false) ~default_n ~default_t ~default_duration () =
   let n_t = Arg.(value & opt int default_n & info [ "n"; "replicas" ] ~doc:"Number of replicas.") in
   let t_t = Arg.(value & opt int default_t & info [ "t"; "faults-bound" ] ~doc:"Failure bound.") in
   let pair_t =
@@ -1213,7 +724,8 @@ let opts_t ~default_n ~default_t ~default_duration ~default_mute =
       & info [ "data-dir" ]
           ~doc:
             "Enable the durability lane: per-replica WAL + snapshots under \
-             $(docv)/replica-<pid>, persist-before-reply, recovery on restart.")
+             $(docv)/replica-<pid> ($(docv)/shard-<i>/replica-<pid> with --shards > 1), \
+             persist-before-reply, recovery on restart.")
   in
   let stats_every_t =
     Arg.(
@@ -1255,8 +767,9 @@ let opts_t ~default_n ~default_t ~default_duration ~default_mute =
           ~doc:
             "Partition the keyspace over $(docv) independent consensus groups of n replicas \
              each, all tenants of one shared runtime (one TCP mesh, shared event loops), \
-             fronted by a shard router. Roles (--mute/--equivocate) apply within every \
-             group; gauntlet chaos is confined to shard 0.")
+             fronted by a shard router; 1 is the unsharded service. Roles \
+             (--mute/--equivocate) apply within every group; gauntlet chaos is confined to \
+             shard 0.")
   in
   let dissemination_t =
     let conv_mode =
@@ -1299,11 +812,8 @@ let opts_t ~default_n ~default_t ~default_duration ~default_mute =
   let make n t pair_name seed window batch_delay settle batch_cap queue_cap port_base duration
       mute equivocate data_dir stats_every no_group_commit snapshot_every kill down
       chaos_plan shards dissemination value_bytes submit_to =
-    let mute =
-      match default_mute with
-      | Some default when mute = [] && equivocate = [] -> default
-      | _ -> mute
-    in
+    (* [mute_last]: with t >= 1 and no role named, mute the last pid. *)
+    let mute = if mute_last && t >= 1 && mute = [] && equivocate = [] then [ n - 1 ] else mute in
     let shards = max 1 shards in
     { n; t; pair_name; seed; window; batch_delay; settle; batch_cap; queue_cap; port_base;
       duration; mute; equivocate; data_dir; stats_every; group_commit = not no_group_commit;
@@ -1363,71 +873,44 @@ let flags_man =
        $(b,--duration) run time; $(b,--stats) counter report cadence.";
   ]
 
-let serve_cmd =
-  let action uc protocol opts = dispatch (fun r -> r.r_serve) uc protocol opts in
-  let term =
-    Term.(
-      ret
-        (const action $ uc_t $ protocol_t
-        $ opts_t ~default_n:4 ~default_t:0 ~default_duration:0.0 ~default_mute:None))
-  in
+let gate_cmd name gate ~doc opts =
   Cmd.v
-    (Cmd.info "serve" ~man:flags_man
-       ~doc:"Boot an n-replica loopback KV service and print client ports.")
-    term
+    (Cmd.info name ~man:flags_man ~doc)
+    Term.(ret (const (dispatch gate) $ uc_t $ protocol_t $ opts))
+
+let serve_cmd =
+  gate_cmd "serve" `Serve
+    ~doc:"Boot a loopback KV service of --shards groups of n replicas and print client ports."
+    (opts_t ~default_n:4 ~default_t:0 ~default_duration:0.0 ())
 
 let smoke_cmd =
-  let action uc protocol opts = dispatch (fun r -> r.r_smoke) uc protocol opts in
-  let term =
-    Term.(
-      ret
-        (const action $ uc_t $ protocol_t
-        $ opts_t ~default_n:7 ~default_t:1 ~default_duration:5.0 ~default_mute:(Some [ 6 ])))
-  in
-  Cmd.v
-    (Cmd.info "smoke" ~man:flags_man
-       ~doc:
-         "CI gate: boot a deployment (default: n=7 t=1, replica 6 mute), drive it with a \
-          closed-loop client, and fail on zero commits, agreement violations, or duplicate \
-          application.")
-    term
+  gate_cmd "smoke" `Smoke
+    ~doc:
+      "CI gate: boot a deployment (default: n=7 t=1, the last replica mute), drive it with \
+       closed-loop clients through the shard router, and fail on zero commits, a shard that \
+       committed nothing, misrouted replies, agreement violations, duplicate application, \
+       or (coded dissemination) a decode-fallback count above max(10, (decodes + fallbacks)/10)."
+    (opts_t ~default_n:7 ~default_t:1 ~default_duration:5.0 ~mute_last:true ())
 
 let restart_cmd =
-  let action uc protocol opts = dispatch (fun r -> r.r_restart) uc protocol opts in
-  let term =
-    Term.(
-      ret
-        (const action $ uc_t $ protocol_t
-        $ opts_t ~default_n:4 ~default_t:0 ~default_duration:9.0 ~default_mute:None))
-  in
-  Cmd.v
-    (Cmd.info "restart" ~man:flags_man
-       ~doc:
-         "Durability gate: boot a durable deployment (default n=4 t=0), crash replica \
-          --kill mid-load (WAL abandoned), restart it after --down seconds, and fail \
-          unless it recovers, catches up to identical state, and the run shows zero \
-          agreement violations, zero lost acknowledged commits and zero duplicate \
-          applies.")
-    term
+  gate_cmd "restart" `Restart
+    ~doc:
+      "Durability gate: boot a durable deployment (default n=4 t=0), crash shard 0's \
+       replica --kill mid-load (WAL abandoned), restart it after --down seconds, and fail \
+       unless it recovers, every shard catches up to identical state, and the run passes \
+       the smoke checks with zero lost acknowledged commits."
+    (opts_t ~default_n:4 ~default_t:0 ~default_duration:9.0 ())
 
 let gauntlet_cmd =
-  let action uc protocol opts = dispatch (fun r -> r.r_gauntlet) uc protocol opts in
-  let term =
-    Term.(
-      ret
-        (const action $ uc_t $ protocol_t
-        $ opts_t ~default_n:7 ~default_t:1 ~default_duration:12.0 ~default_mute:None))
-  in
-  Cmd.v
-    (Cmd.info "gauntlet" ~man:flags_man
-       ~doc:
-         "Chaos gate: run a clean baseline, then replay a deterministic fault plan — link \
-          noise, a healing partition, a kill/restart storm and a Byzantine churn burst \
-          (built-in script, or --chaos-plan FILE) — against a live deployment under \
-          closed-loop load. Reports the one-step fraction and latency against the \
-          baseline; fails on zero commits, agreement violations, duplicate applies, or a \
-          schedule that cannot be driven.")
-    term
+  gate_cmd "gauntlet" `Gauntlet
+    ~doc:
+      "Chaos gate: run a clean baseline, then replay a deterministic fault plan — link \
+       noise, a healing partition, a kill/restart storm and a Byzantine churn burst \
+       (built-in script, or --chaos-plan FILE) — against shard 0 of a live deployment \
+       under closed-loop load. Reports the fast-path fraction and latency against the \
+       baseline; fails when either phase fails the smoke checks or the schedule cannot be \
+       driven."
+    (opts_t ~default_n:7 ~default_t:1 ~default_duration:12.0 ())
 
 let () =
   let info =

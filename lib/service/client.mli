@@ -66,6 +66,23 @@ module Load : sig
     retries : int;  (** total retransmissions *)
   }
 
+  val latency_key : float -> int
+  (** The [latency_hist] key of a latency given in seconds. *)
+
+  val finalize :
+    issued:int ->
+    duration:float ->
+    latencies:float list ->
+    hist:Dex_metrics.Histogram.t ->
+    prov:int * int * int ->
+    retries:int ->
+    failed:int ->
+    report
+  (** The report of a finished run: [latencies] in seconds (one per commit,
+      so [committed] is their count), [hist] keyed by {!latency_key},
+      [prov] the (one-step, two-step, underlying) commit counts. Shared by
+      every load harness, the sharded router's included. *)
+
   val run :
     ?pace:float ->
     ?timeout:float ->

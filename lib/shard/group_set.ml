@@ -16,6 +16,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     net_reactor : Reactor.t;
     mesh_shards : Reactor.t array;
     service_loops : Reactor.t array;
+    loop_metrics : Registry.t array;  (* each service loop's [reactor/*] gauges *)
     mutable closed : bool;
   }
 
@@ -35,8 +36,11 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
   let stride_of (cfg : S.config) =
     cfg.S.n + List.length (S.Log.extra (S.log_config cfg))
 
-  let shard_data_dir (cfg : S.config) i =
-    Option.map (fun d -> Filename.concat d (Printf.sprintf "shard-%d" i)) cfg.S.data_dir
+  (* A one-group set persists straight under the root, as an unsharded
+     deployment always has, so its data dirs recover either way. *)
+  let shard_data_dir ~k (cfg : S.config) i =
+    if k = 1 then cfg.S.data_dir
+    else Option.map (fun d -> Filename.concat d (Printf.sprintf "shard-%d" i)) cfg.S.data_dir
 
   let launch ?roles ?chaos ?(port_base = 0) ~map (cfg : S.config) =
     let k = Shard_map.shards map in
@@ -50,8 +54,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     (* Service loops are shared by replica index: shard [i]'s replica [j]
        runs its client I/O, batch cadence and WAL group commit on loop [j],
        whatever [i] — [n] loops total instead of [k * n]. *)
+    let loop_metrics = Array.init cfg.S.n (fun _ -> Registry.create ()) in
     let service_loops =
-      Array.init cfg.S.n (fun j -> Reactor.create ~name:(Printf.sprintf "svc-%d" j) ())
+      Array.init cfg.S.n (fun j ->
+          Reactor.create ~metrics:loop_metrics.(j) ~name:(Printf.sprintf "svc-%d" j) ())
     in
     let runtime i =
       {
@@ -70,7 +76,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           S.launch ?roles ?chaos
             ~port_base:(if port_base = 0 then 0 else port_base + (i * cfg.S.n))
             ~runtime:(runtime i)
-            { cfg with S.data_dir = shard_data_dir cfg i })
+            { cfg with S.data_dir = shard_data_dir ~k cfg i })
     in
     {
       map;
@@ -82,6 +88,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       net_reactor;
       mesh_shards;
       service_loops;
+      loop_metrics;
       closed = false;
     }
 
@@ -115,13 +122,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     let d = t.deployments.(i) in
     Registry.merge (List.map (fun (_, s) -> Registry.snapshot (S.metrics s)) d.S.servers)
 
-  let prefixed i snap = List.map (fun (name, v) -> (Printf.sprintf "shard%d/%s" i name, v)) snap
-
-  let snapshot t =
-    let shards =
-      List.concat (List.init (shard_count t) (fun i -> prefixed i (shard_snapshot t i)))
-    in
-    shards @ Registry.snapshot t.net_metrics
+  let runtime_snapshot t =
+    Registry.merge
+      (Registry.snapshot t.net_metrics
+      :: Array.to_list (Array.map Registry.snapshot t.loop_metrics))
 
   let agreement_violations t = Array.map S.agreement_violations t.deployments
 end

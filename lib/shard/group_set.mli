@@ -2,7 +2,8 @@
     one shared runtime.
 
     Each shard is a full {!Dex_service.Server} deployment — [n] replicas,
-    its own WAL/snapshot root ([<data_dir>/shard-<i>]), its own per-replica
+    its own WAL/snapshot root ([<data_dir>/shard-<i>], or [<data_dir>]
+    itself when [k = 1]), its own per-replica
     metrics registries, its own agreement invariant — but instead of [k]
     meshes and [k * n] event loops, every group is a {e tenant} of one
     shared runtime ({!Dex_service.Server.Make.shared_runtime}):
@@ -38,10 +39,14 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** Start all [Shard_map.shards map] groups. [roles] assigns Byzantine
       behaviours per shard and pid (default: everyone correct everywhere).
       [chaos = (i, plan)] fronts {e only} shard [i]'s transport view with
-      the plan. [port_base > 0] gives shard [i]'s replica [j] service port
-      [port_base + i*n + j]; the default picks ephemeral ports (read them
-      back with {!ports}). [cfg.data_dir], when set, is the common root:
-      shard [i] persists under [<data_dir>/shard-<i>]. *)
+      the plan. [port_base > 0] gives shard [i]'s [j]-th {e correct}
+      replica (in pid order; mute and equivocating replicas serve no
+      clients) service port [port_base + i*n + j]; the default picks
+      ephemeral ports (read them back with {!ports}). [cfg.data_dir], when
+      set, is the common root: shard [i] persists under
+      [<data_dir>/shard-<i>], except that a one-group set ([k = 1])
+      persists directly under [<data_dir>], like an unsharded
+      {!Dex_service.Server.Make.launch}. *)
 
   val shard_count : t -> int
 
@@ -75,10 +80,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** Shard [i]'s replica registries merged ({!Dex_metrics.Registry.merge}):
       [service/*], [wal/*], [durability/*] totals for that group. *)
 
-  val snapshot : t -> Dex_metrics.Registry.snapshot
-  (** The whole set: every shard's merged snapshot prefixed [shard<i>/...],
-      followed by the shared mesh's [net/*] series (unprefixed — the mesh
-      is genuinely shared, attributing it to a shard would lie). *)
+  val runtime_snapshot : t -> Dex_metrics.Registry.snapshot
+  (** The shared runtime, attributed to no shard: the mesh's [net/*]
+      series and the [reactor/*] gauges of the primary mesh loop and every
+      shared service loop, summed. *)
 
   val agreement_violations : t -> (int * (int * (Pid.t * int) list) list) array
   (** Per shard: {!Dex_service.Server.Make.agreement_violations}. *)

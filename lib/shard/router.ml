@@ -173,14 +173,6 @@ module Load = struct
     misroutes : int;
   }
 
-  (* log2 of the latency in microseconds — same keying as [Client.Load]. *)
-  let latency_key seconds =
-    let us = int_of_float (seconds *. 1e6) in
-    if us <= 1 then 0
-    else
-      let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
-      bits us 0
-
   (* The [Client.Load.run_many] engine lifted over shards: one thread, many
      logical closed-loop clients, each request routed by the shard map to
      one group and retransmitted to that same group. Replies from every
@@ -230,7 +222,7 @@ module Load = struct
             s_committed.(shard) <- s_committed.(shard) + 1;
             let lat = Unix.gettimeofday () -. start in
             latencies := lat :: !latencies;
-            Dex_metrics.Histogram.add hist (latency_key lat);
+            Dex_metrics.Histogram.add hist (Client.Load.latency_key lat);
             (match provenance with
             | Dex_core.Dex.One_step -> incr one
             | Dex_core.Dex.Two_step -> incr two
@@ -274,23 +266,9 @@ module Load = struct
       flush_all t
     done;
     let wall = Unix.gettimeofday () -. started in
-    let committed = List.length !latencies in
     let agg =
-      {
-        Client.Load.issued = !issued;
-        committed;
-        failed = Hashtbl.length in_flight;
-        duration = wall;
-        throughput = (if wall > 0.0 then float_of_int committed /. wall else 0.0);
-        latency =
-          (if !latencies = [] then None
-           else Some (Dex_metrics.Stats.summarize (List.map (fun l -> l *. 1e3) !latencies)));
-        latency_hist = hist;
-        one_step = !one;
-        two_step = !two;
-        underlying = !uc;
-        retries = !retries;
-      }
+      Client.Load.finalize ~issued:!issued ~duration:wall ~latencies:!latencies ~hist
+        ~prov:(!one, !two, !uc) ~retries:!retries ~failed:(Hashtbl.length in_flight)
     in
     {
       agg;

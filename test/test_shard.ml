@@ -205,17 +205,18 @@ let test_two_shards_reactor () =
         true
         (applied >= committed && applied <= issued))
 
-let test_shard_data_dirs_and_restart () =
-  (* Per-shard WAL roots: shard i persists under <data_dir>/shard-<i>, and a
-     replica killed and restarted inside one shard recovers there while the
-     other shard keeps its own files. *)
+(* Data-dir layout: with k > 1 shard i persists under <data_dir>/shard-<i>;
+   a one-group set persists under <data_dir> itself, where an unsharded
+   deployment always has. Either way a replica killed and restarted inside
+   shard 0 recovers from its own files while the other shards keep theirs. *)
+let test_data_dirs_and_restart ~shards () =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dex-shard-test-%d" (Unix.getpid ()))
+      (Printf.sprintf "dex-shard-test-%d-k%d" (Unix.getpid ()) shards)
   in
   rm_rf dir;
-  let map = Shard_map.create ~shards:2 () in
+  let map = Shard_map.create ~shards () in
   let cfg =
     S.config ~data_dir:dir ~catchup_grace:2.0 ~pair:(fun _ -> freq4) ~n:4 ~t:0 ()
   in
@@ -226,14 +227,18 @@ let test_shard_data_dirs_and_restart () =
       ignore (Router.Load.run_many ~clients:8 ~duration:0.6 r (fun _ -> Sm.Add ("k", 1)));
       Array.iteri
         (fun i _ ->
-          let root = Filename.concat dir (Printf.sprintf "shard-%d" i) in
+          let root =
+            if shards = 1 then dir else Filename.concat dir (Printf.sprintf "shard-%d" i)
+          in
           Alcotest.(check bool)
             (Printf.sprintf "shard %d data root exists" i)
             true
             (Sys.file_exists (Filename.concat root "replica-0")))
         (G.ports g);
       G.kill_replica g ~shard:0 0;
-      ignore (G.restart_replica g ~shard:0 0);
+      let restarted = G.restart_replica g ~shard:0 0 in
+      Alcotest.(check bool) "restart replayed slots from disk" true
+        ((S.stats restarted).S.recovered_slots > 0);
       let report = Router.Load.run_many ~clients:8 ~duration:0.8 r (fun _ -> Sm.Add ("k", 1)) in
       Router.close r;
       Thread.delay 0.5;
@@ -264,6 +269,8 @@ let () =
         [
           Alcotest.test_case "two shards, reactor io" `Quick test_two_shards_reactor;
           Alcotest.test_case "per-shard data dirs, restart" `Quick
-            test_shard_data_dirs_and_restart;
+            (test_data_dirs_and_restart ~shards:2);
+          Alcotest.test_case "one-group data dir, restart" `Quick
+            (test_data_dirs_and_restart ~shards:1);
         ] );
     ]
