@@ -1,16 +1,25 @@
 (* Benchmark harness.
 
-   Two parts:
+   Three parts:
    1. Bechamel microbenchmarks — one Test.make per table/figure-level
       artifact plus the hot primitives underneath them (view statistics,
       predicate evaluation, the broadcast layers, full consensus instances,
       the replicated log).
-   2. The experiment tables (E1–E7, see EXPERIMENTS.md) regenerated via
+   2. The live service families behind EXPERIMENTS.md E18–E20: sharded
+      scaling, large-value dissemination and the protocol-lane
+      head-to-head, one loopback deployment per row.
+   3. The experiment tables (E1–E7, see EXPERIMENTS.md) regenerated via
       Dex_experiments.Harness — the rows and series that correspond to the
       paper's Table 1 and its step-complexity claims.
 
+   Everything prints to stdout. The end-to-end service benchmark with
+   noise bands is perfbench/ (see BENCHMARK.json).
+
      dune exec bench/main.exe               # everything
-     dune exec bench/main.exe -- quick      # microbenches only
+     dune exec bench/main.exe -- quick      # microbenches and service families
+     dune exec bench/main.exe -- shards     # E18 only
+     dune exec bench/main.exe -- large      # E19 only
+     dune exec bench/main.exe -- proto      # E20 only
 *)
 
 open Bechamel
@@ -216,57 +225,21 @@ let bench_smr =
       in
       ignore (Runner.run (Runner.config ~extra:(Log.extra cfg) ~n:7 make))))
 
-(* ----------------------- service throughput ----------------------- *)
+(* ------------------------- service families ------------------------- *)
 
-(* Not a bechamel subject: one closed-loop run against a live loopback
-   deployment (real sockets, real threads), reported as ops/s rather than
-   ns/run. The numbers land in their own section of the JSON. *)
+(* Not bechamel subjects: each row is one closed-loop run against a live
+   loopback deployment (real sockets, real threads), reported as ops/s and
+   milliseconds rather than ns/run. *)
 module Svc = Dex_service.Server.Make (Dex_core.Dex.Lane (Uc_oracle))
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let fresh_dir tag =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dex-bench-%s-%d" tag (Unix.getpid ()))
-  in
-  rm_rf dir;
-  dir
-
-let service_throughput ?(durable = false) () =
-  let n = 4 and t = 0 in
-  let pair = Pair.freq ~n ~t in
-  let dir = if durable then Some (fresh_dir "svc") else None in
-  let cfg = Svc.config ?data_dir:dir ~pair:(fun _ -> pair) ~n ~t () in
-  let d = Svc.launch cfg in
-  let c = Dex_service.Client.connect ~client:1 (List.map snd d.Svc.ports) in
-  let r =
-    Dex_service.Client.Load.run_many ~clients:64 ~duration:2.0 c (fun i ->
-        Dex_service.State_machine.Set (Printf.sprintf "k%d" (i mod 64), i))
-  in
-  Dex_service.Client.close c;
-  Thread.delay 0.2;
-  Svc.shutdown d;
-  Option.iter rm_rf dir;
-  let open Dex_service.Client.Load in
-  let committed = float_of_int r.committed in
-  let p50 = match r.latency with Some s -> s.Dex_metrics.Stats.p50 | None -> 0.0 in
-  let p99 = match r.latency with Some s -> s.Dex_metrics.Stats.p99 | None -> 0.0 in
-  let tag name = if durable then "service/durable-" ^ name else "service/" ^ name in
-  [
-    (tag "throughput-ops-s", r.throughput);
-    ( tag "one-step-fraction",
-      if r.committed = 0 then 0.0 else float_of_int r.one_step /. committed );
-    (tag "latency-p50-ms", p50);
-    (tag "latency-p99-ms", p99);
-  ]
+(* [clients] closed-loop clients over one group of replica ports: the
+   router's engine at one shard. *)
+let run_clients ~clients ports workload =
+  let map = Dex_shard.Shard_map.create ~shards:1 () in
+  let router = Dex_shard.Router.connect ~map ~client:1 [ ports ] in
+  let r = Dex_shard.Router.Load.run_many ~clients ~duration:2.0 router workload in
+  Dex_shard.Router.close router;
+  r.Dex_shard.Router.Load.agg
 
 (* Large-value dissemination economics (E19): n=4 t=0 with the client
    submitting to three of the four replicas, so the fourth misses every
@@ -284,12 +257,10 @@ let large_value_rows () =
     let ports = List.map snd d.Svc.ports in
     let starved_ports = List.filteri (fun i _ -> i < 3) ports in
     let payload = String.make bytes 'x' in
-    let c = Dex_service.Client.connect ~client:1 starved_ports in
     let r =
-      Dex_service.Client.Load.run_many ~clients:4 ~duration:2.0 c (fun i ->
+      run_clients ~clients:4 starved_ports (fun i ->
           Dex_service.State_machine.Blob (Printf.sprintf "b%d" (i mod 16), payload))
     in
-    Dex_service.Client.close c;
     Thread.delay 0.5;
     let starved = List.assoc 3 d.Svc.servers in
     let snap = Dex_metrics.Registry.snapshot (Svc.metrics starved) in
@@ -332,12 +303,10 @@ let proto_rows () =
     let pair = Pair.freq ~n ~t in
     let cfg = S.config ~pair:(fun _ -> pair) ~n ~t () in
     let d = S.launch cfg in
-    let c = Dex_service.Client.connect ~client:1 (List.map snd d.S.ports) in
     let r =
-      Dex_service.Client.Load.run_many ~clients:64 ~duration:2.0 c (fun i ->
+      run_clients ~clients:64 (List.map snd d.S.ports) (fun i ->
           Dex_service.State_machine.Set (Printf.sprintf "k%d" (i mod 64), i))
     in
-    Dex_service.Client.close c;
     Thread.delay 0.2;
     S.shutdown d;
     let open Dex_service.Client.Load in
@@ -401,131 +370,6 @@ let shard_scaling_rows () =
   in
   List.concat_map run [ 1; 2; 4; 8 ]
 
-(* Reactor dispatch latency: post a closure from another thread, wait for the
-   loop to run it. Covers the self-pipe wake, one select round and the posted
-   queue drain — the fixed overhead every timer or cross-thread send pays. *)
-let reactor_tick_row () =
-  (* [Stdlib.Condition]: the open of {!Dex_condition} shadows the stdlib
-     module with the paper's input-vector conditions. *)
-  let r = Dex_runtime.Reactor.create ~name:"bench" () in
-  let mu = Mutex.create () and cv = Stdlib.Condition.create () in
-  let fired = ref false in
-  let samples =
-    List.init 2000 (fun _ ->
-        Mutex.lock mu;
-        fired := false;
-        Mutex.unlock mu;
-        let t0 = Unix.gettimeofday () in
-        Dex_runtime.Reactor.post r (fun () ->
-            Mutex.lock mu;
-            fired := true;
-            Stdlib.Condition.signal cv;
-            Mutex.unlock mu);
-        Mutex.lock mu;
-        while not !fired do
-          Stdlib.Condition.wait cv mu
-        done;
-        Mutex.unlock mu;
-        (Unix.gettimeofday () -. t0) *. 1e9)
-  in
-  Dex_runtime.Reactor.stop r;
-  let s = Dex_metrics.Stats.summarize samples in
-  [ ("reactor/tick-ns", s.Dex_metrics.Stats.p50) ]
-
-(* ----------------------- durability lane ----------------------- *)
-
-(* WAL time-to-durable per record, in microseconds. Without group commit
-   every record pays its own fsync (append + sync inline); with group commit
-   records are appended through the syncer and the latency runs until the
-   covering watermark callback. Closed loop, 2000 records of ~128 bytes. *)
-let wal_latency_rows () =
-  let records = 2000 in
-  let payload = String.make 128 'w' in
-  let summarize samples =
-    let s = Dex_metrics.Stats.summarize samples in
-    (s.Dex_metrics.Stats.p50, s.Dex_metrics.Stats.p99)
-  in
-  (* Inline fsync per record. *)
-  let dir = fresh_dir "wal-sync" in
-  let o = Dex_store.Wal.open_ dir in
-  let inline =
-    List.init records (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Dex_store.Wal.append o.Dex_store.Wal.wal payload);
-        ignore (Dex_store.Wal.sync o.Dex_store.Wal.wal);
-        (Unix.gettimeofday () -. t0) *. 1e6)
-  in
-  Dex_store.Wal.close o.Dex_store.Wal.wal;
-  rm_rf dir;
-  let inline_p50, inline_p99 = summarize inline in
-  (* Group commit: stamp each append, collect latency at the watermark. *)
-  let dir = fresh_dir "wal-group" in
-  let o = Dex_store.Wal.open_ dir in
-  let mu = Mutex.create () in
-  let stamps = Hashtbl.create records in
-  let samples = ref [] in
-  let covered = ref 0 in
-  let on_durable w =
-    let now = Unix.gettimeofday () in
-    Mutex.lock mu;
-    for lsn = !covered + 1 to w do
-      match Hashtbl.find_opt stamps lsn with
-      | Some t0 -> samples := (now -. t0) *. 1e6 :: !samples
-      | None -> ()
-    done;
-    covered := max !covered w;
-    Mutex.unlock mu
-  in
-  let syncer =
-    Dex_store.Wal.syncer ~delay:0.001 ~cap:64 o.Dex_store.Wal.wal ~on_durable
-  in
-  for _ = 1 to records do
-    let t0 = Unix.gettimeofday () in
-    let lsn = Dex_store.Wal.syncer_append syncer payload in
-    Mutex.lock mu;
-    Hashtbl.replace stamps lsn t0;
-    Mutex.unlock mu
-  done;
-  Dex_store.Wal.stop_syncer syncer;
-  Dex_store.Wal.close o.Dex_store.Wal.wal;
-  rm_rf dir;
-  let group_p50, group_p99 = summarize !samples in
-  [
-    ("wal/append-fsync-p50-us", inline_p50);
-    ("wal/append-fsync-p99-us", inline_p99);
-    ("wal/group-commit-p50-us", group_p50);
-    ("wal/group-commit-p99-us", group_p99);
-  ]
-
-(* Raw append (no fsync) tail latency with and without segment
-   preallocation. Preallocated segments never extend the file on the hot
-   path, so the p99 should be free of allocate-on-write stalls. Each append
-   is flushed to the file before the stop watch reads: [append] alone only
-   copies into the out_channel's 64 KiB buffer, so without the flush both
-   lanes time memcpy and report the same p99 — the extend-on-write cost only
-   shows up when the bytes actually reach the segment. *)
-let wal_prealloc_rows () =
-  let records = 4000 in
-  let payload = String.make 128 'w' in
-  let run ~preallocate tag =
-    let dir = fresh_dir tag in
-    let o = Dex_store.Wal.open_ ~preallocate dir in
-    let samples =
-      List.init records (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Dex_store.Wal.append o.Dex_store.Wal.wal payload);
-          Dex_store.Wal.flush o.Dex_store.Wal.wal;
-          (Unix.gettimeofday () -. t0) *. 1e6)
-    in
-    Dex_store.Wal.close o.Dex_store.Wal.wal;
-    rm_rf dir;
-    (Dex_metrics.Stats.summarize samples).Dex_metrics.Stats.p99
-  in
-  [
-    ("wal/preallocated-append-p99-us", run ~preallocate:true "wal-pre");
-    ("wal/growing-append-p99-us", run ~preallocate:false "wal-grow");
-  ]
-
 let all_tests =
   Test.make_grouped ~name:"dex"
     ([
@@ -573,82 +417,6 @@ let print_results rows =
   Printf.printf "%s\n" (String.make 54 '-');
   List.iter (fun (name, est) -> Printf.printf "%-36s %16.1f\n" name est) rows
 
-(* Machine-readable companion to the human tables: microbench subjects in
-   ns/run plus the service-lane throughput and durability figures, stamped
-   with the run date, so successive runs can be diffed by tooling. *)
-let bench_date () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let write_json rows service_rows durability_rows =
-  let date = bench_date () in
-  let file = Printf.sprintf "BENCH_%s.json" date in
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"date\": %S,\n  \"unit\": \"ns/run\",\n  \"subjects\": {" date;
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "%s\n    %S: %.1f" (if i = 0 then "" else ",") name est)
-    rows;
-  Printf.fprintf oc "\n  },\n  \"service\": {";
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "%s\n    %S: %.2f" (if i = 0 then "" else ",") name v)
-    service_rows;
-  Printf.fprintf oc "\n  },\n  \"durability\": {";
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "%s\n    %S: %.2f" (if i = 0 then "" else ",") name v)
-    durability_rows;
-  Printf.fprintf oc "\n  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" file
-
-(* Splice fresh [service/proto-*] rows into today's BENCH_<date>.json,
-   keeping everything else, so `bench/main.exe -- proto` can re-measure the
-   protocol-lane family without redoing the whole run. The scanner only
-   understands the exact shape [write_json] emits — which is this file's
-   only producer; a missing file yields a service-only JSON. *)
-let reread_section body name =
-  let tag = Printf.sprintf "%S: {" name in
-  let n = String.length body and m = String.length tag in
-  let rec find i =
-    if i + m > n then None else if String.sub body i m = tag then Some (i + m) else find (i + 1)
-  in
-  match find 0 with
-  | None -> []
-  | Some start ->
-    let stop =
-      match String.index_from_opt body start '}' with Some j -> j | None -> n
-    in
-    String.sub body start (stop - start)
-    |> String.split_on_char ','
-    |> List.filter_map (fun e ->
-           match Scanf.sscanf (String.trim e) "%S: %f" (fun k v -> (k, v)) with
-           | kv -> Some kv
-           | exception _ -> None)
-
-let merge_proto_rows rows =
-  let file = Printf.sprintf "BENCH_%s.json" (bench_date ()) in
-  let subjects, service, durability =
-    if Sys.file_exists file then begin
-      let ic = open_in file in
-      let body = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      ( reread_section body "subjects",
-        reread_section body "service",
-        reread_section body "durability" )
-    end
-    else ([], [], [])
-  in
-  let service =
-    List.filter
-      (fun (k, _) -> not (String.starts_with ~prefix:"service/proto-" k))
-      service
-    @ rows
-  in
-  write_json subjects service durability
-
 (* Run [f] in a forked child and marshal its result back. The service lanes
    are sensitive to runtime state the microbenchmarks leave behind — bechamel
    disables automatic compaction ([Gc.max_overhead] := 1e6) and its
@@ -679,65 +447,26 @@ let in_child (f : unit -> (string * float) list) : (string * float) list =
 
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "" in
-  let quick = arg = "quick" in
-  (* [service]: just the service+durable loopback runs, for quick A/B of
-     runtime changes without the microbenchmark preamble or JSON output. *)
-  if arg = "service" then begin
-    let rows =
-      service_throughput () @ service_throughput ~durable:true ()
-    in
-    List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) rows;
+  let print_rows rows = List.iter (fun (name, v) -> Printf.printf "%-48s %16.2f\n" name v) rows in
+  (* The E18–E20 reproduction commands: one service family each. *)
+  let families =
+    [ ("shards", shard_scaling_rows); ("large", large_value_rows); ("proto", proto_rows) ]
+  in
+  (match List.assoc_opt arg families with
+  | Some family ->
+    print_rows (family ());
     exit 0
-  end;
-  (* [shards]: just the sharded scaling family, for quick A/B of the
-     shared-runtime / router stack. *)
-  if arg = "shards" then begin
-    let rows = shard_scaling_rows () in
-    List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) rows;
-    exit 0
-  end;
-  (* [large]: just the large-value dissemination family (E19), for quick
-     A/B of the full vs coded fetch economics. *)
-  if arg = "large" then begin
-    let rows = large_value_rows () in
-    List.iter (fun (name, v) -> Printf.printf "%-48s %16.2f\n" name v) rows;
-    exit 0
-  end;
-  (* [proto]: the protocol-lane head-to-head (E20), merged into today's
-     BENCH_<date>.json in place. *)
-  if arg = "proto" then begin
-    let rows = proto_rows () in
-    List.iter (fun (name, v) -> Printf.printf "%-48s %16.2f\n" name v) rows;
-    merge_proto_rows rows;
-    exit 0
-  end;
+  | None -> ());
   print_endline "== Bechamel microbenchmarks ==";
   let rows = in_child (fun () -> collect_rows (benchmark ())) in
   print_results rows;
-  print_endline "\n== Service lane (loopback n=4 t=0, 64 closed-loop clients) ==";
-  let service_rows =
-    in_child (fun () ->
-        service_throughput () @ reactor_tick_row ())
-  in
-  List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) service_rows;
   print_endline "\n== Sharding lane (k groups, shared runtime, 64 clients/shard) ==";
-  let shard_rows = in_child shard_scaling_rows in
-  List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) shard_rows;
+  print_rows (in_child shard_scaling_rows);
   print_endline "\n== Large-value lane (starved replica, full vs coded dissemination) ==";
-  let large_rows = in_child large_value_rows in
-  List.iter (fun (name, v) -> Printf.printf "%-48s %16.2f\n" name v) large_rows;
+  print_rows (in_child large_value_rows);
   print_endline "\n== Protocol lanes (dex vs two-step vs hbft, loopback n=4 t=0) ==";
-  let proto = in_child proto_rows in
-  List.iter (fun (name, v) -> Printf.printf "%-48s %16.2f\n" name v) proto;
-  let service_rows = service_rows @ shard_rows @ large_rows @ proto in
-  print_endline "\n== Durability lane (WAL time-to-durable; durable service run) ==";
-  let durability_rows =
-    in_child (fun () ->
-        wal_latency_rows () @ wal_prealloc_rows () @ service_throughput ~durable:true ())
-  in
-  List.iter (fun (name, v) -> Printf.printf "%-36s %16.2f\n" name v) durability_rows;
-  write_json rows service_rows durability_rows;
-  if not quick then begin
+  print_rows (in_child proto_rows);
+  if arg <> "quick" then begin
     print_endline "\n== Experiment tables (paper reproduction; see EXPERIMENTS.md) ==";
     Dex_experiments.Harness.trials := 20;
     List.iter (fun (_, f) -> f ()) Dex_experiments.Harness.all

@@ -59,8 +59,7 @@ let fast_path_of protocol =
     in
     (name, fast)
 
-let print_agg ~protocol (report : Dex_service.Client.Load.report) =
-  Format.printf "%a@." Dex_service.Client.Load.pp_report report;
+let print_fast_fraction ~protocol (report : Dex_service.Client.Load.report) =
   let fast_name, fast = fast_path_of protocol in
   let count p n = if fast p then n else 0 in
   let module PL = Dex_core.Protocol_lane in
@@ -73,9 +72,10 @@ let print_agg ~protocol (report : Dex_service.Client.Load.report) =
     fast_name
     (100.0 *. float_of_int hits /. total)
 
-(* Sharded aggregate-throughput mode: one router over K port groups, the
-   whole client population multiplexed through it. *)
-let sharded_action ~protocol ports shards client clients duration timeout workload value_bytes =
+(* Throughput mode: one router over K port groups (one group when the
+   deployment is unsharded), the whole client population multiplexed
+   through it. *)
+let router_action ~protocol ports shards client clients duration timeout workload value_bytes =
   if List.length ports mod shards <> 0 then
     failwith
       (Printf.sprintf "--ports lists %d ports, not divisible into %d equal shard groups"
@@ -92,7 +92,7 @@ let sharded_action ~protocol ports shards client clients duration timeout worklo
   in
   Router.close r;
   Format.printf "%a@." Router.Load.pp_report report;
-  print_agg ~protocol report.Router.Load.agg
+  print_fast_fraction ~protocol report.Router.Load.agg
 
 let action ports_s shards client clients duration pace timeout attempts workload value_bytes
     protocol =
@@ -103,20 +103,19 @@ let action ports_s shards client clients duration pace timeout attempts workload
   else
   match
     let ports = List.map int_of_string (String.split_on_char ',' ports_s) in
-    if shards > 1 then
-      sharded_action ~protocol ports shards client clients duration timeout workload
+    if shards > 1 || clients > 1 then
+      router_action ~protocol ports shards client clients duration timeout workload
         value_bytes
     else begin
-      let gen = workload_of ~value_bytes workload client in
+      (* Latency harness: one closed-loop client. *)
       let c = Dex_service.Client.connect ~client ports in
       let report =
-        if clients > 1 then
-          (* Throughput harness: many logical closed loops, one thread. *)
-          Dex_service.Client.Load.run_many ~clients ~timeout ~duration c gen
-        else Dex_service.Client.Load.run ?pace ~timeout ?attempts ~duration c gen
+        Dex_service.Client.Load.run ?pace ~timeout ?attempts ~duration c
+          (workload_of ~value_bytes workload client)
       in
       Dex_service.Client.close c;
-      print_agg ~protocol report
+      Format.printf "%a@." Dex_service.Client.Load.pp_report report;
+      print_fast_fraction ~protocol report
     end
   with
   | exception Failure m -> `Error (false, m)
@@ -146,8 +145,8 @@ let clients_t =
     & info [ "clients" ]
         ~doc:
           "Logical closed-loop clients multiplexed in one thread (ids \
-           client..client+N-1); N > 1 is the throughput harness, 1 the latency \
-           harness.")
+           client..client+N-1); N > 1 is the throughput harness (the shard router's \
+           engine, over one group unless --shards), 1 the latency harness.")
 
 let duration_t = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Run time in seconds.")
 

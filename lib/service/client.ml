@@ -191,94 +191,6 @@ module Load = struct
     finalize ~issued:!issued ~duration:wall ~latencies:!latencies ~hist
       ~prov:(!one, !two, !uc) ~retries:!retries ~failed:!failed
 
-  (* Many logical closed loops, one thread, one connection set. Each logical
-     client keeps one outstanding request (so rid dedupe stays sound), but
-     submissions triggered by one wave of replies are coalesced into a
-     single flush per connection — on a small machine the syscall budget,
-     not the protocol, is the throughput ceiling. *)
-  let run_many ?(clients = 64) ?(timeout = 1.0) ~duration t workload =
-    if clients < 1 then invalid_arg "Load.run_many: clients must be >= 1";
-    let hist = Dex_metrics.Histogram.create () in
-    let latencies = ref [] in
-    let one = ref 0 and two = ref 0 and uc = ref 0 in
-    let retries = ref 0 and issued = ref 0 in
-    let rids = Array.make clients (-1) in
-    (* Value: (first-sent, last-sent, request). First-sent is the latency
-       origin; last-sent paces retransmits so an overdue request goes out
-       once per [timeout], not once per quiet tick. *)
-    let in_flight : (int * int, float * float * Wire.request) Hashtbl.t =
-      Hashtbl.create (2 * clients)
-    in
-    let issue idx =
-      rids.(idx) <- rids.(idx) + 1;
-      let cid = t.client + idx in
-      let req = { Wire.client = cid; rid = rids.(idx); command = workload !issued } in
-      incr issued;
-      let now = Unix.gettimeofday () in
-      Hashtbl.replace in_flight (cid, rids.(idx)) (now, now, req);
-      write_all t req
-    in
-    let started = Unix.gettimeofday () in
-    let deadline = started +. duration in
-    let handle (reply : Wire.reply) =
-      match Hashtbl.find_opt in_flight (reply.Wire.client, reply.Wire.rid) with
-      | None -> ()
-      | Some (start, _, _) -> (
-        match reply.Wire.outcome with
-        | Wire.Busy -> ()  (* stays outstanding; the retransmit sweep covers it *)
-        | Wire.Applied { output = _; slot = _; provenance } ->
-          Hashtbl.remove in_flight (reply.Wire.client, reply.Wire.rid);
-          let lat = Unix.gettimeofday () -. start in
-          latencies := lat :: !latencies;
-          Dex_metrics.Histogram.add hist (latency_key lat);
-          (match provenance with
-          | Dex_core.Dex.One_step -> incr one
-          | Dex_core.Dex.Two_step -> incr two
-          | Dex_core.Dex.Underlying -> incr uc);
-          let idx = reply.Wire.client - t.client in
-          if Unix.gettimeofday () < deadline then issue idx)
-    in
-    for idx = 0 to clients - 1 do
-      issue idx
-    done;
-    flush_all t;
-    while Unix.gettimeofday () < deadline do
-      let remaining = deadline -. Unix.gettimeofday () in
-      (match Mailbox.pop ~timeout:(Float.min 0.05 remaining) t.inbox with
-      | Some reply ->
-        handle reply;
-        (* Drain the wave that arrived with it, then flush the refills. *)
-        let rec drain () =
-          match Mailbox.pop ~timeout:0.0 t.inbox with
-          | Some r ->
-            handle r;
-            drain ()
-          | None -> ()
-        in
-        drain ()
-      | None ->
-        (* Quiet tick: retransmit everything not (re)sent for [timeout].
-           Collect first, mutate after — Hashtbl.iter with concurrent
-           [replace] on the iterated table is unspecified behavior. *)
-        let now = Unix.gettimeofday () in
-        let overdue =
-          Hashtbl.fold
-            (fun key (start, last_sent, req) acc ->
-              if now -. last_sent > timeout then (key, start, req) :: acc else acc)
-            in_flight []
-        in
-        List.iter
-          (fun (key, start, req) ->
-            incr retries;
-            Hashtbl.replace in_flight key (start, now, req);
-            write_all t req)
-          overdue);
-      flush_all t
-    done;
-    let wall = Unix.gettimeofday () -. started in
-    finalize ~issued:!issued ~duration:wall ~latencies:!latencies ~hist
-      ~prov:(!one, !two, !uc) ~retries:!retries ~failed:(Hashtbl.length in_flight)
-
   let pp_report ppf r =
     Format.fprintf ppf
       "@[<v>issued %d, committed %d, failed %d in %.2fs — %.0f ops/s@,\

@@ -94,22 +94,10 @@ module Load : sig
   (** Closed-loop load for [duration] seconds: submit [workload i] for
       [i = 0, 1, …], each as soon as the previous commits. [pace > 0]
       spaces submissions at least [pace] seconds apart (a paced arrival
-      process, still one outstanding). *)
-
-  val run_many :
-    ?clients:int ->
-    ?timeout:float ->
-    duration:float ->
-    t ->
-    (int -> State_machine.command) ->
-    report
-  (** [clients] (default 64) logical closed-loop clients multiplexed over
-      one connection set in one thread: each keeps exactly one outstanding
-      request (ids [t.client .. t.client + clients - 1] — space physical
-      clients' ids accordingly), and submissions triggered by one wave of
-      replies are flushed together. This is the throughput harness;
-      {!run} is the latency harness. Requests still outstanding when the
-      duration ends are counted [failed]. *)
+      process, still one outstanding). This is the latency harness; many
+      clients at once go through the shard router's throughput harness
+      ([Dex_shard.Router.Load.run_many]), over one group when the
+      deployment is unsharded. *)
 
   val pp_report : Format.formatter -> report -> unit
 end

@@ -134,7 +134,7 @@ let install_capture t ~slot ~payload ~covering_lsn =
     Snapshot.install ~dir ~slot payload;
     Registry.incr t.c_snapshots;
     (* [wal] is set once at creation, so reading it without the replica lock
-       here (we run on the batcher thread, off the apply path) is safe. *)
+       here (we run on the service loop, off the apply path) is safe. *)
     Option.iter (fun wal -> Wal.truncate_below wal ~lsn:(covering_lsn + 1)) t.wal
 
 let note_installed t ~slot ~payload =

@@ -10,7 +10,7 @@
     The lane is lock-agnostic: it never takes the replica lock, and all
     mutating calls must be serialized by the owner (the replica calls in
     under its own lock; {!install_capture} is the documented exception —
-    it runs on the batcher thread, off the apply path, touching only
+    it runs on the service loop, off the apply path, touching only
     creation-time-fixed state and the WAL's own lock).
 
     With no data directory the lane is inert: {!append} returns lsn 0,
@@ -98,7 +98,7 @@ val take_capture : t -> (int * string * int) option
 val install_capture : t -> slot:int -> payload:string -> covering_lsn:int -> unit
 (** Persist a claimed capture: snapshot install (tmp + rename + dir sync),
     bump [durability/snapshots], truncate the WAL below the covering lsn.
-    Runs without the replica lock (batcher thread). *)
+    Runs without the replica lock (on the service loop). *)
 
 val note_installed : t -> slot:int -> payload:string -> unit
 (** A snapshot transferred from a peer was just installed into the live

@@ -4,8 +4,6 @@ open Dex_runtime
 open Dex_smr
 
 module Registry = Dex_metrics.Registry
-module Rs = Dex_erasure.Rs
-module Fragment = Dex_erasure.Fragment
 module PL = Dex_core.Protocol_lane
 
 module Make (L : PL.LANE) = struct
@@ -229,39 +227,6 @@ module Make (L : PL.LANE) = struct
     snapshots : int;  (** snapshots installed locally *)
   }
 
-  (* State and counters of the dissemination lane. In coded mode the fetch
-     path pulls distinct fragments from distinct peers and reconstructs;
-     these tables hold the partial reconstructions ([frags]: digest ->
-     index -> body, [frag_len]: the claimed blob length), a responder-side
-     cache of encoded fragment bodies ([enc_cache]: digest -> blob length *
-     bodies), and the set of digests already failed over to the full lane
-     ([fb], so the fallback timer and a decode failure don't double-fire).
-     All driven under the replica lock. *)
-  type dissem_lane = {
-    k : int;  (* data-shard count: Rs.data_count over the deployment geometry *)
-    frags : (int, (int, string) Hashtbl.t) Hashtbl.t;
-    frag_len : (int, int) Hashtbl.t;
-    enc_cache : (int, int * string array) Hashtbl.t;
-    fb : (int, unit) Hashtbl.t;
-    rounds : (int, int) Hashtbl.t;
-        (* coded-fetch rounds already spent per digest: the fallback timer
-           re-requests the (recomputed) missing mask a few times before
-           failing over — the full lane retries forever, so the coded lane
-           deserves more than one 50 ms round under load *)
-    mutable snap_rounds : int;  (* coded snapshot-fetch rounds without an install *)
-    c_fetch_rtts : Registry.counter;
-    c_fetch_bytes : Registry.counter;
-    c_frag_sent : Registry.counter;
-    c_frag_recv : Registry.counter;
-    c_frag_bytes_out : Registry.counter;
-    c_frag_bytes_in : Registry.counter;
-    c_pushes : Registry.counter;
-    c_decodes : Registry.counter;
-    c_decode_failures : Registry.counter;
-    c_decode_fallbacks : Registry.counter;
-    c_bytes_saved : Registry.counter;
-  }
-
   type t = {
     cfg : config;
     me : Pid.t;
@@ -269,15 +234,13 @@ module Make (L : PL.LANE) = struct
     lock : Mutex.t;
     (* Pipeline stages. The admission queue and batcher decide what enters a
        proposal; the durability lane gates replies on the WAL; catch-up
-       holds the vote tables of the recovery lane. All are driven under
+       holds the vote tables of the recovery lane; the content stage holds
+       batches by digest and fetches the ones we miss. All are driven under
        [lock]. *)
     admission : Admission.t;
     lane : Durability_lane.t;
     cu : Catch_up.t;
-    dl : dissem_lane;
-    (* Batch content by digest: own proposals, peer payloads, fetch results. *)
-    store : (int, Batch.t) Hashtbl.t;
-    last_use : (int, int) Hashtbl.t;  (* digest -> newest slot that referenced it *)
+    content : Content.t;
     (* Per-client session: last applied rid, its cached outcome, and the WAL
        lsn that makes it durable (0 when durable already / durability off) —
        client retries are idempotent, and a reply never leaves before its
@@ -288,7 +251,6 @@ module Make (L : PL.LANE) = struct
         (* connections with unpumped replies, pumped once per wave: one
            coalesced [write] instead of a reactor loop turn *)
     commit_buf : (int, int * Dex_core.Dex.provenance) Hashtbl.t;  (* slot -> commit *)
-    unresolved : (int, unit) Hashtbl.t;  (* digests being fetched *)
     outbox : smsg Protocol.action list ref;  (* actions produced by callbacks *)
     mutable state : State_machine.t;
     (* Newest first; bounded by [commit_log_cap] (a long-lived server would
@@ -313,7 +275,6 @@ module Make (L : PL.LANE) = struct
     c_applied : Registry.counter;
     c_suppressed : Registry.counter;
     c_busy : Registry.counter;
-    c_fetches : Registry.counter;
     c_recovered : Registry.counter;
     c_catchup_installed : Registry.counter;
     c_state_transfers : Registry.counter;
@@ -356,52 +317,29 @@ module Make (L : PL.LANE) = struct
 
   let lift actions = Protocol.map_actions (fun m -> Log_msg m) actions
 
+  (* The content stage speaks a subset of [smsg], one to one. *)
+  let emit t actions =
+    List.iter (push_action t)
+      (Protocol.map_actions
+         (function
+           | Content.Fetch (d, slot) -> Fetch (d, slot)
+           | Content.Batch_payload (d, b) -> Batch_payload (d, b)
+           | Content.Truncated slot -> Truncated slot
+           | Content.Frag_request (d, mask, slot) -> Frag_request (d, mask, slot)
+           | Content.Frag_payload frag -> Frag_payload frag
+           | Content.Snapshot_fetch slot -> Snapshot_fetch slot
+           | Content.Snapshot_fetch_full slot -> Snapshot_fetch_full slot
+           | Content.Snapshot_payload (slot, payload) -> Snapshot_payload (slot, payload)
+           | Content.Snapshot_frag { slot; frag } -> Snapshot_frag { slot; frag })
+         actions)
+
+  let with_lock t f =
+    Mutex.lock t.lock;
+    let x = f () in
+    Mutex.unlock t.lock;
+    x
+
   let peers t = List.filter (fun p -> not (Pid.equal p t.me)) (Pid.all ~n:t.cfg.n)
-
-  let coded t =
-    Dex_erasure.Dissemination.equal t.cfg.dissemination Dex_erasure.Dissemination.Coded
-
-  (* Encode (and cache) the fragment bodies of a batch we hold. The cache
-     is keyed by digest and GC'd with the content store, so a responder
-     encodes each batch once no matter how many peers pull fragments. *)
-  let fragments_locked t digest batch =
-    match Hashtbl.find_opt t.dl.enc_cache digest with
-    | Some entry -> entry
-    | None ->
-      let blob = Batch.to_blob batch in
-      let entry = (String.length blob, Rs.encode ~k:t.dl.k ~n:t.cfg.n blob) in
-      Hashtbl.replace t.dl.enc_cache digest entry;
-      entry
-
-  let frag_of_locked t digest ~index (len, bodies) =
-    Dex_erasure.Fragment.make ~digest ~index ~total:t.cfg.n ~data:t.dl.k ~len bodies.(index)
-
-  let send_frag_locked t ~to_ frag =
-    Registry.incr t.dl.c_frag_sent;
-    Registry.add t.dl.c_frag_bytes_out (String.length frag.Dex_erasure.Fragment.body);
-    push_action t (Protocol.Send (to_, Frag_payload frag))
-
-  (* Coded proposer push: instead of every replica re-deriving the batch
-     from its own admission queue (the common case under submit-to-all) or
-     fetching the whole blob, the batch's {e home} replica (digest mod n)
-     sends each peer its own systematic fragment — one blob's worth of
-     egress spread over the mesh, not n-1 copies. Purely an optimization:
-     replicas that already hold the content ignore the fragment, and ones
-     that miss it still have the request lane. *)
-  let push_fragments_locked t digest batch =
-    if digest mod t.cfg.n = t.me then begin
-      let entry = fragments_locked t digest batch in
-      Registry.incr t.dl.c_pushes;
-      List.iter
-        (fun peer -> send_frag_locked t ~to_:peer (frag_of_locked t digest ~index:peer entry))
-        (peers t)
-    end
-
-  let clear_frag_state_locked t digest =
-    Hashtbl.remove t.dl.frags digest;
-    Hashtbl.remove t.dl.frag_len digest;
-    Hashtbl.remove t.dl.fb digest;
-    Hashtbl.remove t.dl.rounds digest
 
   (* ----------------------- consensus-side callbacks ----------------------- *)
 
@@ -411,49 +349,15 @@ module Make (L : PL.LANE) = struct
      (we join with what we have; under submit-to-all the sets coincide and
      the slot is uncontended). *)
   let propose t ~slot =
-    Mutex.lock t.lock;
-    if slot >= t.next_slot then t.next_slot <- slot + 1;
-    let batch =
-      Batcher.cut t.admission ~now:(Unix.gettimeofday ()) ~settle:t.cfg.settle
-        ~cap:t.cfg.batch_cap
-    in
-    let d = Batch.digest batch in
-    if d <> Batch.empty_digest then begin
-      Hashtbl.replace t.store d batch;
-      Hashtbl.replace t.last_use d slot;
-      if coded t then push_fragments_locked t d batch
-    end;
-    Mutex.unlock t.lock;
-    d
-
-  (* Retire batch content nobody can still ask for: digests whose newest
-     reference trails the apply frontier by more than [retain] slots. The
-     coded lane's tables (fragment pools, encode cache) ride the same
-     horizon — except pools still being fetched, which stay pinned. *)
-  let gc_store_locked t =
-    let floor = t.apply_next - t.cfg.retain in
-    let stale =
-      Hashtbl.fold
-        (fun digest last acc -> if last < floor then digest :: acc else acc)
-        t.last_use []
-    in
-    List.iter
-      (fun digest ->
-        Hashtbl.remove t.store digest;
-        Hashtbl.remove t.last_use digest)
-      stale;
-    let dead tbl =
-      Hashtbl.fold
-        (fun digest _ acc ->
-          if
-            (not (Hashtbl.mem t.unresolved digest))
-            && not (Hashtbl.mem t.last_use digest)
-          then digest :: acc
-          else acc)
-        tbl []
-    in
-    List.iter (clear_frag_state_locked t) (dead t.dl.frags);
-    List.iter (fun digest -> Hashtbl.remove t.dl.enc_cache digest) (dead t.dl.enc_cache)
+    with_lock t (fun () ->
+        if slot >= t.next_slot then t.next_slot <- slot + 1;
+        let batch =
+          Batcher.cut t.admission ~now:(Unix.gettimeofday ()) ~settle:t.cfg.settle
+            ~cap:t.cfg.batch_cap
+        in
+        let d = Batch.digest batch in
+        if d <> Batch.empty_digest then emit t (Content.propose t.content d batch ~slot);
+        d)
 
   (* One batcher tick: decide via {!Batcher.tick} under the lock, then
      self-send the release / watchdog messages outside it. *)
@@ -473,7 +377,7 @@ module Make (L : PL.LANE) = struct
     if fire then t.last_progress <- now;
     if wedged then t.last_watchdog <- now;
     let upto = t.next_slot + 1 in
-    gc_store_locked t;
+    Content.gc t.content ~frontier:t.apply_next;
     Mutex.unlock t.lock;
     if fire then t.transport.Transport.send ~src:t.me ~dst:t.me (Log_msg (Log.release upto));
     if wedged then t.transport.Transport.send ~src:t.me ~dst:t.me (Catch_up (-1))
@@ -500,11 +404,12 @@ module Make (L : PL.LANE) = struct
       t.cut_timer <-
         Some
           (Reactor.after t.service_reactor delay (fun () ->
-               Mutex.lock t.lock;
-               t.cut_armed <- false;
-               t.cut_timer <- None;
-               let live = t.running in
-               Mutex.unlock t.lock;
+               let live =
+                 with_lock t (fun () ->
+                     t.cut_armed <- false;
+                     t.cut_timer <- None;
+                     t.running)
+               in
                if live then batcher_tick t))
     end
 
@@ -533,18 +438,17 @@ module Make (L : PL.LANE) = struct
     Hashtbl.iter (fun _ c -> Reactor.Conn.pump c) t.dirty;
     Hashtbl.reset t.dirty
 
-  (* Syncer callback (runs on the syncer thread): the watermark advanced, so
-     release every reply it now covers. Lock order: the server lock is taken
-     here and the WAL takes its own lock inside lane calls — the two are
-     never nested the other way, so there is no cycle. *)
+  (* Group-commit callback (runs on the service loop, which drives the WAL
+     syncer): the watermark advanced, so release every reply it now covers.
+     Lock order: the replica lock is taken here and the WAL takes its own
+     lock inside lane calls — the two are never nested the other way, so
+     there is no cycle. *)
   let on_durable t watermark =
-    Mutex.lock t.lock;
-    let advanced =
-      Durability_lane.release_up_to t.lane ~watermark ~reply:(fun ~client ~rid outcome ->
-          reply_locked t ~client ~rid outcome)
-    in
-    if advanced then flush_dirty_locked t;
-    Mutex.unlock t.lock
+    with_lock t (fun () ->
+        if
+          Durability_lane.release_up_to t.lane ~watermark ~reply:(fun ~client ~rid outcome ->
+              reply_locked t ~client ~rid outcome)
+        then flush_dirty_locked t)
 
   (* Append the slot's commit record; returns the lsn gating its replies
      (0 = already durable / durability off). *)
@@ -616,55 +520,11 @@ module Make (L : PL.LANE) = struct
 
   (* Capture a snapshot at the current apply boundary when the cadence is
      due. Capture (cheap, in-memory) happens here under the lock; the fsyncs
-     of the install run on the batcher thread. *)
+     of the install run later on the service loop
+     ({!install_pending_snapshot}). *)
   let maybe_snapshot_locked t =
     Durability_lane.maybe_capture t.lane ~apply_next:t.apply_next ~every:t.cfg.snapshot_every
       ~encode:(fun () -> encode_snapshot_locked t)
-
-  (* The classic full-blob fetch round: broadcast, every holder answers
-     with the whole batch, self-timer retries. Also the coded lane's
-     fallback (timeout or decode failure). *)
-  let full_fetch_locked t digest =
-    List.iter
-      (fun peer -> push_action t (Protocol.Send (peer, Fetch (digest, t.apply_next))))
-      (peers t);
-    push_action t
-      (Protocol.Set_timer { delay = t.cfg.fetch_retry; msg = Fetch (digest, t.apply_next) })
-
-  (* Coded fetch round: ask every peer for the fragment indices we still
-     miss — each holder answers with only its own systematic fragment, so
-     a resolution ingresses ~one blob spread over n-1 links instead of
-     n-1 full copies. The self [Frag_request] with mask 0 is the fallback
-     timer: if the decode has not landed by then, fail over to the full
-     lane (which has its own retry). *)
-  let coded_fetch_locked t digest =
-    let held =
-      match Hashtbl.find_opt t.dl.frags digest with
-      | Some m -> m
-      | None -> Hashtbl.create 0
-    in
-    let mask = ref 0 in
-    for i = 0 to t.cfg.n - 1 do
-      if not (Hashtbl.mem held i) then mask := !mask lor (1 lsl i)
-    done;
-    (* Retry rounds set the desperate bit (bit n): fewer than k peers hold
-       this batch, so home fragments alone cannot complete the decode — ask
-       holders to encode every missing index. The mask lists only what is
-       missing, so the duplicate cost is bounded by holders x missing. *)
-    if Option.value ~default:0 (Hashtbl.find_opt t.dl.rounds digest) > 0 then
-      mask := !mask lor (1 lsl t.cfg.n);
-    List.iter
-      (fun peer -> push_action t (Protocol.Send (peer, Frag_request (digest, !mask, t.apply_next))))
-      (peers t);
-    push_action t
-      (Protocol.Set_timer { delay = t.cfg.fetch_retry; msg = Frag_request (digest, 0, t.apply_next) })
-
-  let request_fetch_locked t digest =
-    if not (Hashtbl.mem t.unresolved digest) then begin
-      Hashtbl.replace t.unresolved digest ();
-      Registry.incr t.c_fetches;
-      if coded t then coded_fetch_locked t digest else full_fetch_locked t digest
-    end
 
   (* Drain the committed prefix in slot order; stop (and fetch) at the first
      digest whose content we do not hold. Every applied slot (empty ones
@@ -673,27 +533,18 @@ module Make (L : PL.LANE) = struct
   let rec apply_ready_locked t =
     match Hashtbl.find_opt t.commit_buf t.apply_next with
     | None -> ()
-    | Some (digest, provenance) ->
-      if digest = Batch.empty_digest then begin
+    | Some (digest, provenance) -> (
+      let empty = digest = Batch.empty_digest in
+      match if empty then Some [] else Content.find t.content digest with
+      | Some batch ->
         let slot = t.apply_next in
         Hashtbl.remove t.commit_buf slot;
-        ignore (wal_append_locked t ~slot ~digest ~provenance []);
+        let lsn = wal_append_locked t ~slot ~digest ~provenance batch in
         t.apply_next <- slot + 1;
+        if not empty then apply_batch_locked t ~slot ~provenance ~lsn batch;
         maybe_snapshot_locked t;
         apply_ready_locked t
-      end
-      else begin
-        match Hashtbl.find_opt t.store digest with
-        | Some batch ->
-          let slot = t.apply_next in
-          Hashtbl.remove t.commit_buf slot;
-          let lsn = wal_append_locked t ~slot ~digest ~provenance batch in
-          t.apply_next <- slot + 1;
-          apply_batch_locked t ~slot ~provenance ~lsn batch;
-          maybe_snapshot_locked t;
-          apply_ready_locked t
-        | None -> request_fetch_locked t digest
-      end
+      | None -> emit t (Content.request t.content digest ~frontier:t.apply_next))
 
   let on_commit t ~slot ~provenance digest =
     Mutex.lock t.lock;
@@ -707,7 +558,7 @@ module Make (L : PL.LANE) = struct
       commit_log_push_locked t ~slot ~digest ~provenance;
       if digest = Batch.empty_digest then Registry.incr t.c_empty
       else begin
-        Hashtbl.replace t.last_use digest slot;
+        Content.pin t.content digest ~slot;
         Registry.incr (List.assoc provenance t.c_provenance);
         (* Cut-margin adaptation keys on the lane's own fast path: an
            expedited commit is evidence the batch cuts converge (decay the
@@ -723,8 +574,8 @@ module Make (L : PL.LANE) = struct
          apply frontier is stuck further back — otherwise a backlog of
          missing digests resolves strictly one round-trip at a time (and in
          coded mode each pays the full fragment-round patience serially). *)
-      if digest <> Batch.empty_digest && not (Hashtbl.mem t.store digest) then
-        request_fetch_locked t digest;
+      if digest <> Batch.empty_digest && Content.find t.content digest = None then
+        emit t (Content.request t.content digest ~frontier:t.apply_next);
       apply_ready_locked t;
       flush_dirty_locked t;
       (* Requests admitted while this slot was in flight were held back by
@@ -754,7 +605,7 @@ module Make (L : PL.LANE) = struct
   let finish_catchup_locked t =
     if Catch_up.active t.cu then begin
       Catch_up.finish t.cu;
-      t.dl.snap_rounds <- 0;
+      Content.snapshot_settled t.content;
       (* Fast-forward the log's commit frontier past everything installed out
          of band; slots that decided passively meanwhile flush on arrival. *)
       push_action t (Protocol.Send (t.me, Log_msg (Log.skip t.apply_next)));
@@ -789,12 +640,10 @@ module Make (L : PL.LANE) = struct
         Registry.incr t.c_catchup_installed;
         t.last_progress <- Unix.gettimeofday ();
         commit_log_push_locked t ~slot ~digest ~provenance;
-        if digest <> Batch.empty_digest then begin
-          (match content with
-          | Some batch -> Hashtbl.replace t.store digest batch
-          | None -> ());
-          Hashtbl.replace t.last_use digest slot
-        end;
+        (if digest <> Batch.empty_digest then
+           match content with
+           | Some batch -> Content.add t.content digest batch ~slot
+           | None -> Content.pin t.content digest ~slot);
         Hashtbl.replace t.commit_buf slot (digest, provenance);
         apply_ready_locked t;
         Catch_up.drop_below t.cu ~frontier:t.apply_next;
@@ -827,7 +676,7 @@ module Make (L : PL.LANE) = struct
       t.apply_next <- slot;
       t.next_slot <- max t.next_slot slot;
       t.commit_log_floor <- max t.commit_log_floor slot;
-      t.dl.snap_rounds <- 0;
+      Content.snapshot_settled t.content;
       Registry.incr t.c_state_transfers;
       t.last_progress <- Unix.gettimeofday ();
       (* Snapshot covers every session outcome; queued replies for the old
@@ -836,201 +685,58 @@ module Make (L : PL.LANE) = struct
       try_install_locked t;
       check_catchup_done_locked t
 
+  let valid_snapshot payload = Result.is_ok (Dex_codec.Codec.decode snap_payload_codec payload)
+
   let record_snap_vote_locked t ~from ~slot payload =
-    let validate p = Result.is_ok (Dex_codec.Codec.decode snap_payload_codec p) in
-    match Catch_up.record_snap_vote t.cu ~from ~frontier:t.apply_next ~slot ~payload ~validate with
+    match
+      Catch_up.record_snap_vote t.cu ~from ~frontier:t.apply_next ~slot ~payload
+        ~validate:valid_snapshot
+    with
     | Some (slot, payload) -> install_snapshot_locked t ~slot payload
     | None -> ()
 
-  (* One coded snapshot fragment arrived: pool it under (slot, payload
-     hash); once [t+1] peers vouch for the hash and [k] indices are in,
-     reconstruct and verify against the hash before installing. A failed
-     verification (some fragment lied) drops the group — the hash had
-     [t+1] voters, so honest refills can still assemble it. *)
-  let record_snap_frag_locked t ~from ~slot frag =
-    if Fragment.valid frag && frag.Fragment.total = t.cfg.n && frag.Fragment.data = t.dl.k
-    then begin
-      Registry.incr t.dl.c_frag_recv;
-      Registry.add t.dl.c_frag_bytes_in (String.length frag.Fragment.body);
-      match
-        Catch_up.record_snap_frag t.cu ~from ~frontier:t.apply_next ~slot
-          ~hash:frag.Fragment.digest ~index:frag.Fragment.index ~body:frag.Fragment.body
-          ~data:frag.Fragment.data ~len:frag.Fragment.len
-      with
-      | None -> ()
-      | Some (slot, hash, bodies, len) -> (
-        match Rs.decode ~k:t.dl.k ~n:t.cfg.n ~len bodies with
-        | Some payload
-          when Fragment.fnv64 payload = hash
-               && Result.is_ok (Dex_codec.Codec.decode snap_payload_codec payload) ->
-          Registry.incr t.dl.c_decodes;
-          install_snapshot_locked t ~slot payload
-        | _ ->
-          Registry.incr t.dl.c_decode_failures;
-          Catch_up.drop_snap_group t.cu ~slot ~hash)
-    end
-
-  (* Serve a full snapshot payload: the preferred on-disk snapshot when it
-     is ahead of the requester (stable and byte-identical across correct
-     replicas), else a live capture. *)
-  let serve_snapshot_full t ~from ~from_slot =
-    match Durability_lane.load_disk_snapshot t.lane with
-    | Some (slot, payload) when slot > from_slot ->
-      [ Protocol.Send (from, Snapshot_payload (slot, payload)) ]
-    | _ ->
-      Mutex.lock t.lock;
-      let slot = t.apply_next in
-      let payload = encode_snapshot_locked t in
-      Mutex.unlock t.lock;
-      if slot > from_slot then [ Protocol.Send (from, Snapshot_payload (slot, payload)) ]
-      else []
-
-  (* Coded variant: same snapshot choice, but ship only our own systematic
-     fragment of it — the requester assembles k fragments from k peers.
-     Works when peers answer for the same (slot, payload); the requester
-     falls back to {!serve_snapshot_full} via [Snapshot_fetch_full] after
-     a couple of fruitless rounds (e.g. misaligned live frontiers). *)
-  let serve_snapshot_coded t ~from ~from_slot =
+  (* The snapshot to serve a requester stuck at [from_slot]: the preferred
+     on-disk snapshot when it is ahead of the requester (stable and
+     byte-identical across correct replicas), else a live capture. The
+     content stage ships it whole or as our own fragment. *)
+  let serve_snapshot t ~from ~from_slot ~whole =
     let chosen =
       match Durability_lane.load_disk_snapshot t.lane with
       | Some (slot, payload) when slot > from_slot -> Some (slot, payload)
       | _ ->
-        Mutex.lock t.lock;
-        let slot = t.apply_next in
-        let payload = encode_snapshot_locked t in
-        Mutex.unlock t.lock;
+        let slot, payload = with_lock t (fun () -> (t.apply_next, encode_snapshot_locked t)) in
         if slot > from_slot then Some (slot, payload) else None
     in
     match chosen with
     | None -> []
     | Some (slot, payload) ->
-      let hash = Fragment.fnv64 payload in
-      let len = String.length payload in
-      let bodies = Rs.encode ~k:t.dl.k ~n:t.cfg.n payload in
-      let frag =
-        Fragment.make ~digest:hash ~index:t.me ~total:t.cfg.n ~data:t.dl.k ~len bodies.(t.me)
-      in
-      Mutex.lock t.lock;
-      Registry.incr t.dl.c_frag_sent;
-      Registry.add t.dl.c_frag_bytes_out (String.length frag.Fragment.body);
-      Mutex.unlock t.lock;
-      [ Protocol.Send (from, Snapshot_frag { slot; frag }) ]
+      with_lock t (fun () ->
+          emit t (Content.serve_snapshot t.content ~to_:from ~whole ~slot payload));
+      drain t
 
-  (* ------------------------- content resolution ------------------------- *)
-
-  (* Verified batch content for [digest] is in hand (peer payload or a
-     fragment decode): store it, pin it for as long as a committed slot
-     references it, clear the fetch state, and drain whatever it unblocks. *)
+  (* Verified batch content for [digest] came back from the content stage:
+     store it, pinned for as long as a committed-but-unapplied slot still
+     references it (the newest such slot in [commit_buf], else the apply
+     frontier), and drain whatever it unblocks. *)
   let accept_content_locked t digest batch =
-    if not (Hashtbl.mem t.store digest) then Hashtbl.replace t.store digest batch;
-    (* Pin the content for as long as a committed-but-unapplied slot still
-       references it: the newest such slot in [commit_buf] (falling back to
-       the apply frontier), never downgrading a newer reference already
-       recorded. *)
     let newest_ref =
       Hashtbl.fold
         (fun slot (d, _) acc -> if d = digest then max acc slot else acc)
         t.commit_buf t.apply_next
     in
-    let prev = Option.value ~default:0 (Hashtbl.find_opt t.last_use digest) in
-    Hashtbl.replace t.last_use digest (max prev newest_ref);
-    Hashtbl.remove t.unresolved digest;
-    clear_frag_state_locked t digest;
+    Content.add t.content digest batch ~slot:newest_ref;
     apply_ready_locked t;
     (* A contentless catch-up install may have been waiting on exactly this
        digest; with the frontier advanced, further voted slots can land. *)
     if Catch_up.active t.cu then try_install_locked t
 
-  (* Fail an unresolved coded fetch over to the full lane — once: the
-     fallback timer and a decode failure can both get here. *)
-  let fallback_to_full_locked t digest =
-    if Hashtbl.mem t.unresolved digest && not (Hashtbl.mem t.dl.fb digest) then begin
-      Hashtbl.replace t.dl.fb digest ();
-      Registry.incr t.dl.c_decode_fallbacks;
-      full_fetch_locked t digest
-    end
-
-  (* Enough fragments pooled: reconstruct, decode, recanonicalize, rehash.
-     Only a digest match lets the content in — a Byzantine fragment with a
-     self-consistent checksum can corrupt the reconstruction but cannot
-     forge the batch digest. *)
-  let try_decode_locked t digest =
-    match (Hashtbl.find_opt t.dl.frags digest, Hashtbl.find_opt t.dl.frag_len digest) with
-    | Some pool, Some len when Hashtbl.length pool >= t.dl.k ->
-      let picks = Hashtbl.fold (fun i b acc -> (i, b) :: acc) pool [] in
-      let ingress = List.fold_left (fun acc (_, b) -> acc + String.length b) 0 picks in
-      let reconstructed =
-        match Rs.decode ~k:t.dl.k ~n:t.cfg.n ~len picks with
-        | None -> None
-        | Some blob -> (
-          match Batch.of_blob blob with
-          | Error _ -> None
-          | Ok body ->
-            let batch = Batch.canonical body in
-            if Batch.digest batch = digest then Some batch else None)
-      in
-      (match reconstructed with
-      | Some batch ->
-        Registry.incr t.dl.c_decodes;
-        (* Versus the full lane, where every holder answers the broadcast
-           with the whole blob: (n-1) full copies vs what we ingressed. *)
-        Registry.add t.dl.c_bytes_saved (max 0 (((t.cfg.n - 1) * len) - ingress));
-        accept_content_locked t digest batch
-      | None ->
-        (* Some fragment lied (or pools mixed): drop the pool and fail
-           over to the full lane, whose rehash gate is per-payload. *)
-        Registry.incr t.dl.c_decode_failures;
-        Hashtbl.remove t.dl.frags digest;
-        Hashtbl.remove t.dl.frag_len digest;
-        fallback_to_full_locked t digest)
-    | _ -> ()
-
-  (* One batch fragment arrived. Solicited fragments (the digest is being
-     fetched) are accepted from anyone; unsolicited ones (the proposer
-     push) only from their home replica (index = sender), and only while
-     the pool table has room — a Byzantine sender cannot grow the tables. *)
-  let handle_frag_locked t ~from frag =
-    let digest = frag.Fragment.digest in
-    if
-      Fragment.valid frag && frag.Fragment.total = t.cfg.n && frag.Fragment.data = t.dl.k
-      && digest <> Batch.empty_digest
-      && not (Hashtbl.mem t.store digest)
-    then begin
-      let wanted = Hashtbl.mem t.unresolved digest in
-      (* Unsolicited acceptance, two bounded shapes: a peer relaying its
-         home fragment ([index = from]) and the proposer push assigning us
-         ours ([index = me]) — one fragment per digest either way. *)
-      let solicited_ok =
-        wanted || frag.Fragment.index = from || frag.Fragment.index = t.me
-      in
-      let room = Hashtbl.mem t.dl.frags digest || Hashtbl.length t.dl.frags < 4096 in
-      if solicited_ok && room then begin
-        Registry.incr t.dl.c_frag_recv;
-        Registry.add t.dl.c_frag_bytes_in (String.length frag.Fragment.body);
-        let pool =
-          match Hashtbl.find_opt t.dl.frags digest with
-          | Some m -> m
-          | None ->
-            let m = Hashtbl.create 8 in
-            Hashtbl.replace t.dl.frags digest m;
-            (* Pin fresh pools at the current frontier so the store GC
-               keeps them for [retain] slots, like any other content. *)
-            if not (Hashtbl.mem t.last_use digest) then
-              Hashtbl.replace t.last_use digest t.apply_next;
-            m
-        in
-        let len_ok =
-          match Hashtbl.find_opt t.dl.frag_len digest with
-          | Some l -> l = frag.Fragment.len
-          | None ->
-            Hashtbl.replace t.dl.frag_len digest frag.Fragment.len;
-            true
-        in
-        if len_ok && not (Hashtbl.mem pool frag.Fragment.index) then
-          Hashtbl.replace pool frag.Fragment.index frag.Fragment.body;
-        if wanted then try_decode_locked t digest
-      end
-    end
+  let content_locked t ~from msg =
+    let sends, resolved =
+      Content.on_message t.content ~frontier:t.apply_next
+        ~snapshot_slot:(snapshot_slot_locked t) ~from msg
+    in
+    emit t sends;
+    Option.iter (fun (digest, batch) -> accept_content_locked t digest batch) resolved
 
   (* Serve a catch-up request: a chunk of [Slot_commit]s from the commit log
      (content from the store), or [Truncated] if that history is retired. *)
@@ -1052,20 +758,14 @@ module Make (L : PL.LANE) = struct
       for slot = upto - 1 downto from_slot do
         match Hashtbl.find_opt by_slot slot with
         | None -> complete := false
-        | Some (digest, provenance) ->
-          if digest = Batch.empty_digest then
-            entries := (slot, digest, provenance, []) :: !entries
-          else begin
-            match Hashtbl.find_opt t.store digest with
-            | Some batch ->
-              (* Coded mode serves the vote digest-only (an empty batch
-                 with a non-empty digest): the requester pulls the content
-                 over the fragment lane, which this responder can answer
-                 since it holds the batch. *)
-              let body = if coded t then [] else batch in
-              entries := (slot, digest, provenance, body) :: !entries
-            | None -> complete := false
-          end
+        | Some (digest, provenance) -> (
+          let content =
+            if digest = Batch.empty_digest then Some []
+            else Option.map (Content.vote_content t.content) (Content.find t.content digest)
+          in
+          match content with
+          | Some batch -> entries := (slot, digest, provenance, batch) :: !entries
+          | None -> complete := false)
       done;
       if not !complete then
         push_action t (Protocol.Send (from, Truncated (snapshot_slot_locked t)))
@@ -1147,34 +847,13 @@ module Make (L : PL.LANE) = struct
         admission = Admission.create ~cap:cfg.queue_cap;
         lane;
         cu = Catch_up.create ~n:cfg.n ~t:cfg.t ~cap:cfg.catchup_cap ~grace:cfg.catchup_grace;
-        dl =
-          {
-            k = Rs.data_count ~n:cfg.n ~t:cfg.t;
-            frags = Hashtbl.create 16;
-            frag_len = Hashtbl.create 16;
-            enc_cache = Hashtbl.create 16;
-            fb = Hashtbl.create 8;
-            rounds = Hashtbl.create 8;
-            snap_rounds = 0;
-            c_fetch_rtts = Registry.counter metrics "service/fetch_rtts";
-            c_fetch_bytes = Registry.counter metrics "service/fetch_bytes";
-            c_frag_sent = Registry.counter metrics "erasure/frag_sent";
-            c_frag_recv = Registry.counter metrics "erasure/frag_recv";
-            c_frag_bytes_out = Registry.counter metrics "erasure/frag_bytes_out";
-            c_frag_bytes_in = Registry.counter metrics "erasure/frag_bytes_in";
-            c_pushes = Registry.counter metrics "erasure/pushes";
-            c_decodes = Registry.counter metrics "erasure/decodes";
-            c_decode_failures = Registry.counter metrics "erasure/decode_failures";
-            c_decode_fallbacks = Registry.counter metrics "erasure/decode_fallbacks";
-            c_bytes_saved = Registry.counter metrics "erasure/bytes_saved";
-          };
-        store = Hashtbl.create 256;
-        last_use = Hashtbl.create 256;
+        content =
+          Content.create ~metrics ~mode:cfg.dissemination ~n:cfg.n ~t:cfg.t ~me
+            ~retry:cfg.fetch_retry ~retain:cfg.retain;
         sessions = Hashtbl.create 64;
         conns = Hashtbl.create 64;
         dirty = Hashtbl.create 8;
         commit_buf = Hashtbl.create 64;
-        unresolved = Hashtbl.create 8;
         outbox = ref [];
         state = State_machine.create ();
         commit_log = [];
@@ -1195,7 +874,6 @@ module Make (L : PL.LANE) = struct
         c_applied = Registry.counter metrics "service/applied";
         c_suppressed = Registry.counter metrics "service/suppressed_duplicates";
         c_busy = Registry.counter metrics "service/busy_rejections";
-        c_fetches = Registry.counter metrics "service/fetches";
         c_recovered = Registry.counter metrics "service/recovered_slots";
         c_catchup_installed = Registry.counter metrics "service/catchup_installed";
         c_state_transfers = Registry.counter metrics "service/state_transfers";
@@ -1231,226 +909,88 @@ module Make (L : PL.LANE) = struct
         ~on_commit:(fun ~slot ~provenance v -> on_commit t ~slot ~provenance v)
     in
     let start () =
-      Mutex.lock t.lock;
-      if Catch_up.active t.cu then begin
-        Catch_up.restamp t.cu ~now:(Unix.gettimeofday ());
-        broadcast_catchup_locked t
-      end;
-      Mutex.unlock t.lock;
+      with_lock t (fun () ->
+          if Catch_up.active t.cu then begin
+            Catch_up.restamp t.cu ~now:(Unix.gettimeofday ());
+            broadcast_catchup_locked t
+          end);
       lift (log_inst.Protocol.start ()) @ drain t
     in
+    (* Every other message runs [f] under the lock, pumps the replies it
+       buffered and hands back the actions it queued. *)
+    let handle f =
+      with_lock t (fun () ->
+          f ();
+          flush_dirty_locked t);
+      drain t
+    in
     let on_message ~now ~from m =
+      let self = Pid.equal from t.me in
+      let content msg = handle (fun () -> content_locked t ~from msg) in
       match m with
       | Log_msg lm -> lift (log_inst.Protocol.on_message ~now ~from lm) @ drain t
-      | Fetch (digest, _) when Pid.equal from t.me ->
-        (* Our own retry timer: re-broadcast while still unresolved. *)
-        Mutex.lock t.lock;
-        if Hashtbl.mem t.unresolved digest then begin
-          List.iter
-            (fun peer -> push_action t (Protocol.Send (peer, Fetch (digest, t.apply_next))))
-            (peers t);
-          push_action t
-            (Protocol.Set_timer
-               { delay = t.cfg.fetch_retry; msg = Fetch (digest, t.apply_next) })
-        end;
-        Mutex.unlock t.lock;
-        drain t
-      | Fetch (digest, stuck_slot) ->
-        Mutex.lock t.lock;
-        let content = Hashtbl.find_opt t.store digest in
-        let answer =
-          match content with
-          | Some batch -> Some (Batch_payload (digest, batch))
-          | None ->
-            (* We are past that slot and have retired the content: point the
-               requester at snapshot transfer instead of letting its fetch
-               retry forever (commit_log_cap truncation closes this path). *)
-            if stuck_slot < t.apply_next then Some (Truncated (snapshot_slot_locked t))
-            else None
-        in
-        Mutex.unlock t.lock;
-        (match answer with Some reply -> [ Protocol.Send (from, reply) ] | None -> [])
-      | Batch_payload (digest, body) ->
-        (* Never trust the claimed digest: recanonicalize and rehash. *)
-        let batch = Batch.canonical body in
-        if digest <> Batch.empty_digest && Batch.digest batch = digest then begin
-          Mutex.lock t.lock;
-          (* Full-lane ingress accounting: every holder answers the fetch
-             broadcast, so redundant copies are real fetched bytes too. *)
-          Registry.add t.dl.c_fetch_bytes (String.length (Batch.to_blob batch));
-          if Hashtbl.mem t.unresolved digest then Registry.incr t.dl.c_fetch_rtts;
-          accept_content_locked t digest batch;
-          flush_dirty_locked t;
-          Mutex.unlock t.lock;
-          drain t
-        end
-        else []
-      | Catch_up from_slot when Pid.equal from t.me ->
+      | Fetch (digest, slot) -> content (Content.Fetch (digest, slot))
+      | Batch_payload (digest, batch) -> content (Content.Batch_payload (digest, batch))
+      | Frag_request (digest, mask, slot) -> content (Content.Frag_request (digest, mask, slot))
+      | Frag_payload frag -> content (Content.Frag_payload frag)
+      | Catch_up from_slot when self ->
         (* Our own control traffic: [-1] is the batcher's stall watchdog
            ((re-)enter catch-up); otherwise it is the retry timer — while
            catching up, re-ask from the current frontier (peers committed
            more since the last round). *)
-        Mutex.lock t.lock;
-        if from_slot < 0 then begin
-          if
-            (not (Catch_up.active t.cu))
-            && (t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
-          then begin_catchup_locked t
-        end
-        else if Catch_up.active t.cu then begin
-          check_catchup_done_locked t;
-          if Catch_up.active t.cu then begin
-            List.iter
-              (fun peer -> push_action t (Protocol.Send (peer, Catch_up t.apply_next)))
-              (peers t);
-            push_action t
-              (Protocol.Set_timer { delay = t.cfg.catchup_retry; msg = Catch_up from_slot })
-          end
-        end;
-        Mutex.unlock t.lock;
-        drain t
+        handle (fun () ->
+            if from_slot < 0 then begin
+              if
+                (not (Catch_up.active t.cu))
+                && (t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
+              then begin_catchup_locked t
+            end
+            else if Catch_up.active t.cu then begin
+              check_catchup_done_locked t;
+              if Catch_up.active t.cu then begin
+                List.iter
+                  (fun peer -> push_action t (Protocol.Send (peer, Catch_up t.apply_next)))
+                  (peers t);
+                push_action t
+                  (Protocol.Set_timer { delay = t.cfg.catchup_retry; msg = Catch_up from_slot })
+              end
+            end)
       | Catch_up from_slot ->
-        Mutex.lock t.lock;
-        if from_slot >= 0 && from_slot <= t.cfg.slots then serve_catchup_locked t ~from ~from_slot;
-        Mutex.unlock t.lock;
-        drain t
-      | Slot_commit { slot; digest; provenance; batch } ->
-        if Pid.equal from t.me then []
-        else begin
-          Mutex.lock t.lock;
-          record_slot_vote_locked t ~from ~slot ~digest ~provenance ~batch;
-          flush_dirty_locked t;
-          Mutex.unlock t.lock;
-          drain t
-        end
-      | Catch_up_done frontier ->
-        if Pid.equal from t.me then []
-        else begin
-          Mutex.lock t.lock;
-          if Catch_up.active t.cu then begin
-            Catch_up.note_frontier t.cu ~peer:from frontier;
-            check_catchup_done_locked t
-          end;
-          Mutex.unlock t.lock;
-          drain t
-        end
+        handle (fun () ->
+            if from_slot >= 0 && from_slot <= t.cfg.slots then
+              serve_catchup_locked t ~from ~from_slot)
+      | _ when self -> []
       | Truncated snap_slot ->
         (* A peer retired the history we were fetching: switch to snapshot
            transfer. Only honoured while actually stuck (an unresolved fetch
            or an ongoing catch-up) — a lying peer cannot put an idle replica
            into the catch-up gate. *)
-        Mutex.lock t.lock;
-        if
-          (not (Pid.equal from t.me))
-          && snap_slot > t.apply_next
-          && (Catch_up.active t.cu || Hashtbl.length t.unresolved > 0)
-        then begin
-          begin_catchup_locked t;
-          (* Coded transfer needs k peers aligned on one (slot, payload);
-             after a couple of fruitless rounds (misaligned live
-             frontiers, churn) demand the full payload instead. *)
-          let msg =
-            if coded t && t.dl.snap_rounds >= 2 then Snapshot_fetch_full t.apply_next
-            else begin
-              if coded t then t.dl.snap_rounds <- t.dl.snap_rounds + 1;
-              Snapshot_fetch t.apply_next
-            end
-          in
-          List.iter (fun peer -> push_action t (Protocol.Send (peer, msg))) (peers t)
-        end;
-        Mutex.unlock t.lock;
-        drain t
-      | Snapshot_fetch from_slot ->
-        if Pid.equal from t.me then []
-        else if coded t then serve_snapshot_coded t ~from ~from_slot
-        else serve_snapshot_full t ~from ~from_slot
-      | Snapshot_fetch_full from_slot ->
-        if Pid.equal from t.me then [] else serve_snapshot_full t ~from ~from_slot
+        handle (fun () ->
+            if snap_slot > t.apply_next && (Catch_up.active t.cu || Content.fetching t.content)
+            then begin
+              begin_catchup_locked t;
+              emit t (Content.snapshot_fetch t.content ~frontier:t.apply_next)
+            end)
+      | Slot_commit { slot; digest; provenance; batch } ->
+        handle (fun () -> record_slot_vote_locked t ~from ~slot ~digest ~provenance ~batch)
+      | Catch_up_done frontier ->
+        handle (fun () ->
+            if Catch_up.active t.cu then begin
+              Catch_up.note_frontier t.cu ~peer:from frontier;
+              check_catchup_done_locked t
+            end)
+      | Snapshot_fetch from_slot -> serve_snapshot t ~from ~from_slot ~whole:false
+      | Snapshot_fetch_full from_slot -> serve_snapshot t ~from ~from_slot ~whole:true
       | Snapshot_payload (slot, payload) ->
-        if Pid.equal from t.me then []
-        else begin
-          Mutex.lock t.lock;
-          record_snap_vote_locked t ~from ~slot payload;
-          flush_dirty_locked t;
-          Mutex.unlock t.lock;
-          drain t
-        end
-      | Frag_request (digest, _, _) when Pid.equal from t.me ->
-        (* Coded-fetch round timer. The pool may already hold enough
-           fragments (pushed before the fetch began) without anything
-           having triggered a decode, so try that first; otherwise
-           re-request the still-missing indices for a few rounds — the
-           full lane retries forever, so one 50 ms round is not a fair
-           trial — and only then fail over. *)
-        Mutex.lock t.lock;
-        if Hashtbl.mem t.unresolved digest then begin
-          try_decode_locked t digest;
-          if Hashtbl.mem t.unresolved digest && not (Hashtbl.mem t.dl.fb digest) then begin
-            let r = 1 + Option.value ~default:0 (Hashtbl.find_opt t.dl.rounds digest) in
-            if r <= 3 then begin
-              Hashtbl.replace t.dl.rounds digest r;
-              coded_fetch_locked t digest
-            end
-            else fallback_to_full_locked t digest
-          end
-        end;
-        Mutex.unlock t.lock;
-        drain t
-      | Frag_request (digest, mask, stuck_slot) ->
-        Mutex.lock t.lock;
-        (match Hashtbl.find_opt t.store digest with
-        | Some batch ->
-          if mask land (1 lsl t.cfg.n) <> 0 then begin
-            (* Desperate round: serve every missing index we can encode. *)
-            let entry = fragments_locked t digest batch in
-            for i = 0 to t.cfg.n - 1 do
-              if mask land (1 lsl i) <> 0 then
-                send_frag_locked t ~to_:from (frag_of_locked t digest ~index:i entry)
-            done
-          end
-          else if mask land (1 lsl t.me) <> 0 then begin
-            let entry = fragments_locked t digest batch in
-            send_frag_locked t ~to_:from (frag_of_locked t digest ~index:t.me entry)
-          end
-        | None -> (
-          (* No full content, but the proposer push may have seeded us with
-             our home fragment — relay it, turning every pushed-to replica
-             into a server for its own index. *)
-          match
-            ( Hashtbl.find_opt t.dl.frags digest,
-              Hashtbl.find_opt t.dl.frag_len digest )
-          with
-          | Some pool, Some len
-            when mask land (1 lsl t.me) <> 0 && Hashtbl.mem pool t.me ->
-            send_frag_locked t ~to_:from
-              (Fragment.make ~digest ~index:t.me ~total:t.cfg.n ~data:t.dl.k ~len
-                 (Hashtbl.find pool t.me))
-          | _ ->
-            (* Same refusal as the full lane: if we are past the requester's
-               stuck slot and retired the content, point it at snapshot
-               transfer rather than letting it retry forever. *)
-            if stuck_slot < t.apply_next then
-              push_action t (Protocol.Send (from, Truncated (snapshot_slot_locked t)))));
-        Mutex.unlock t.lock;
-        drain t
-      | Frag_payload frag ->
-        if Pid.equal from t.me then []
-        else begin
-          Mutex.lock t.lock;
-          handle_frag_locked t ~from frag;
-          flush_dirty_locked t;
-          Mutex.unlock t.lock;
-          drain t
-        end
+        handle (fun () -> record_snap_vote_locked t ~from ~slot payload)
       | Snapshot_frag { slot; frag } ->
-        if Pid.equal from t.me then []
-        else begin
-          Mutex.lock t.lock;
-          record_snap_frag_locked t ~from ~slot frag;
-          flush_dirty_locked t;
-          Mutex.unlock t.lock;
-          drain t
-        end
+        handle (fun () ->
+            match
+              Content.snapshot_frag t.content t.cu ~from ~frontier:t.apply_next ~slot
+                ~validate:valid_snapshot frag
+            with
+            | Some (slot, payload) -> install_snapshot_locked t ~slot payload
+            | None -> ())
     in
     (t, { Protocol.start; on_message })
 
@@ -1492,13 +1032,7 @@ module Make (L : PL.LANE) = struct
      truncation) run here, off the apply path; capture happened under the
      lock at the slot boundary. *)
   let install_pending_snapshot t =
-    let snap =
-      Mutex.lock t.lock;
-      let s = Durability_lane.take_capture t.lane in
-      Mutex.unlock t.lock;
-      s
-    in
-    match snap with
+    match with_lock t (fun () -> Durability_lane.take_capture t.lane) with
     | Some (slot, payload, covering_lsn) ->
       Durability_lane.install_capture t.lane ~slot ~payload ~covering_lsn
     | None -> ()
@@ -1506,10 +1040,10 @@ module Make (L : PL.LANE) = struct
   (* ------------------------------ observation ----------------------------- *)
 
   let stats t =
-    Mutex.lock t.lock;
-    let backlog = Admission.size t.admission in
-    let apply_lag = Hashtbl.length t.commit_buf in
-    Mutex.unlock t.lock;
+    let backlog, apply_lag, fetches =
+      with_lock t (fun () ->
+          (Admission.size t.admission, Hashtbl.length t.commit_buf, Content.fetches t.content))
+    in
     {
       committed_slots = Registry.value t.c_committed;
       empty_slots = Registry.value t.c_empty;
@@ -1519,7 +1053,7 @@ module Make (L : PL.LANE) = struct
       applied = Registry.value t.c_applied;
       suppressed_duplicates = Registry.value t.c_suppressed;
       busy_rejections = Registry.value t.c_busy;
-      fetches = Registry.value t.c_fetches;
+      fetches;
       backlog;
       apply_lag;
       recovered_slots = Registry.value t.c_recovered;
@@ -1534,35 +1068,15 @@ module Make (L : PL.LANE) = struct
 
   let durable_lsn t = Durability_lane.durable_lsn t.lane
 
-  let catching_up t =
-    Mutex.lock t.lock;
-    let c = Catch_up.active t.cu in
-    Mutex.unlock t.lock;
-    c
+  let catching_up t = with_lock t (fun () -> Catch_up.active t.cu)
 
-  let apply_frontier t =
-    Mutex.lock t.lock;
-    let f = t.apply_next in
-    Mutex.unlock t.lock;
-    f
+  let apply_frontier t = with_lock t (fun () -> t.apply_next)
 
-  let commit_log t =
-    Mutex.lock t.lock;
-    let log = List.rev t.commit_log in
-    Mutex.unlock t.lock;
-    log
+  let commit_log t = with_lock t (fun () -> List.rev t.commit_log)
 
-  let state_snapshot t =
-    Mutex.lock t.lock;
-    let snap = State_machine.snapshot t.state in
-    Mutex.unlock t.lock;
-    snap
+  let state_snapshot t = with_lock t (fun () -> State_machine.snapshot t.state)
 
-  let state_digest t =
-    Mutex.lock t.lock;
-    let d = State_machine.digest t.state in
-    Mutex.unlock t.lock;
-    d
+  let state_digest t = with_lock t (fun () -> State_machine.digest t.state)
 
   let pp_stats ppf (s : stats) =
     Format.fprintf ppf

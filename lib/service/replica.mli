@@ -1,6 +1,6 @@
 (** The replica core: consensus callbacks, apply loop, catch-up driver and
     request admission, assembled from the pipeline stages ({!Admission},
-    {!Batcher}, {!Durability_lane}, {!Catch_up}).
+    {!Batcher}, {!Durability_lane}, {!Catch_up}, {!Content}).
 
     This module owns everything about a replica that does not touch a
     socket: {!Server} layers the TCP service (listener, client connections,
@@ -144,12 +144,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     snapshots : int;  (** snapshots installed locally *)
   }
 
-  type dissem_lane
-  (** State and counters of the dissemination lane (fragment pools, encode
-      cache, fallback bookkeeping). Opaque: driven entirely by the replica
-      under [lock]; observe it through the [service/fetch_*] and
-      [erasure/*] counters in {!metrics}. *)
-
   (** Transparent so the {!Server} socket layer can drive the service
       fields; everything consensus-side is reached through the functions
       below and must only be touched under [lock]. *)
@@ -161,14 +155,14 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     admission : Admission.t;
     lane : Durability_lane.t;
     cu : Catch_up.t;
-    dl : dissem_lane;
-    store : (int, Batch.t) Hashtbl.t;
-    last_use : (int, int) Hashtbl.t;
+    content : Content.t;
+        (** batch content by digest and the fetch lane for what we miss;
+            observe it through the [service/fetch*] and [erasure/*]
+            counters in {!metrics} *)
     sessions : (int, int * Wire.outcome * int) Hashtbl.t;
     conns : (int, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
     dirty : (Unix.file_descr, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
     commit_buf : (int, int * Dex_core.Dex.provenance) Hashtbl.t;
-    unresolved : (int, unit) Hashtbl.t;
     outbox : smsg Protocol.action list ref;
     mutable state : State_machine.t;
     mutable commit_log : (int * int * Dex_core.Dex.provenance) list;
@@ -185,7 +179,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     c_applied : Dex_metrics.Registry.counter;
     c_suppressed : Dex_metrics.Registry.counter;
     c_busy : Dex_metrics.Registry.counter;
-    c_fetches : Dex_metrics.Registry.counter;
     c_recovered : Dex_metrics.Registry.counter;
     c_catchup_installed : Dex_metrics.Registry.counter;
     c_state_transfers : Dex_metrics.Registry.counter;

@@ -173,12 +173,14 @@ module Load = struct
     misroutes : int;
   }
 
-  (* The [Client.Load.run_many] engine lifted over shards: one thread, many
-     logical closed-loop clients, each request routed by the shard map to
-     one group and retransmitted to that same group. Replies from every
-     group merge into the shared inbox; the dedupe core keeps the count
-     honest (first commit per rid counts, replica echoes and stale replies
-     do not). *)
+  (* The throughput engine: one thread, many logical closed-loop clients
+     (each keeps one outstanding request, so rid dedupe stays sound), each
+     request routed by the shard map to one group and retransmitted to that
+     same group; submissions triggered by one wave of replies are flushed
+     together, because on a small machine the syscall budget, not the
+     protocol, is the throughput ceiling. Replies from every group merge
+     into the shared inbox; the dedupe core keeps the count honest (first
+     commit per rid counts, replica echoes and stale replies do not). *)
   let run_many ?(clients = 64) ?(timeout = 1.0) ~duration t workload =
     if clients < 1 then invalid_arg "Router.Load.run_many: clients must be >= 1";
     let k = Array.length t.shards in

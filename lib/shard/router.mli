@@ -88,14 +88,16 @@ module Load : sig
     t ->
     (int -> State_machine.command) ->
     report
-  (** {!Client.Load.run_many} lifted over shards: [clients] (default 64)
-      logical closed-loop clients with ids [client .. client + clients - 1],
-      one thread, each request routed by the map, retransmitted only to its
+  (** The throughput harness, also for an unsharded deployment (a
+      one-shard map over its one group): [clients] (default 64) logical
+      closed-loop clients with ids [client .. client + clients - 1], one
+      thread, each request routed by the map, retransmitted only to its
       pinned shard, and submissions triggered by one reply wave flushed
-      coalesced per connection. Rid sequences are router state, not run
-      state: a second run on the same router continues them, so its
-      requests are fresh to the servers' session caches and to the dedupe
-      watermark alike. *)
+      coalesced per connection. Requests still outstanding when the
+      duration ends are counted [failed]. Rid sequences are router state,
+      not run state: a second run on the same router continues them, so
+      its requests are fresh to the servers' session caches and to the
+      dedupe watermark alike. *)
 
   val pp_report : Format.formatter -> report -> unit
 end

@@ -26,8 +26,6 @@
 
 module Registry = Dex_metrics.Registry
 
-external fd_int : Unix.file_descr -> int = "%identity"
-
 let magic = "DEXWAL1\n"
 
 let magic_len = String.length magic
@@ -413,101 +411,37 @@ let stats (t : t) =
 
 (* ----------------------------- group commit ----------------------------- *)
 
-(* Two drivers for the fsync cadence. The classic one sleeps in [select] on
-   a self-pipe: the latency cap is the select timeout, the size cap is an
-   appender writing a byte to the pipe. The reactor driver replaces that
-   thread with a periodic timer on a shared event loop (the size cap posts
-   an immediate sync), so a process with many replicas runs one loop thread
-   instead of one syncer thread each. Either way [sync] and the durability
-   callback run off the appender's thread. *)
-type driver =
-  | Pipe of {
-      pipe_r : Unix.file_descr;
-      pipe_w : Unix.file_descr;
-      mutable thread : Thread.t option;
-    }
-  | On_reactor of { r : Dex_runtime.Reactor.t; mutable timer : Dex_runtime.Reactor.timer option }
-
+(* The fsync cadence is a periodic timer on a reactor loop, and an append
+   that reaches the size cap posts an immediate sync there, so [sync] and
+   the durability callback run off the appender's thread. A service lends
+   its own loop (one loop thread per replica, not one more per syncer);
+   without one the syncer creates a private loop and stops it with the
+   syncer. *)
 type syncer = {
   s_wal : t;
-  delay : float;
   cap : int;
   on_durable : int -> unit;
   mutable running : bool;
-  driver : driver;
+  reactor : Dex_runtime.Reactor.t;
+  owns_reactor : bool;
+  mutable timer : Dex_runtime.Reactor.timer option;
 }
 
 let sync_pending s = if s.running && unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal)
 
-let kick s =
-  match s.driver with
-  | Pipe p -> (
-    try ignore (Unix.write p.pipe_w (Bytes.make 1 'k') 0 1) with Unix.Unix_error _ -> ())
-  | On_reactor { r; _ } -> Dex_runtime.Reactor.post r (fun () -> sync_pending s)
-
-let syncer_loop s (p_r : Unix.file_descr) () =
-  let buf = Bytes.create 64 in
-  while s.running do
-    (match Unix.select [ p_r ] [] [] s.delay with
-    | [], _, _ -> ()
-    | _ -> ( try ignore (Unix.read p_r buf 0 64) with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ());
-    sync_pending s
-  done
+let kick s = Dex_runtime.Reactor.post s.reactor (fun () -> sync_pending s)
 
 let syncer ?(delay = 0.001) ?(cap = 64) ?reactor wal ~on_durable =
   if delay <= 0.0 then invalid_arg "Wal.syncer: delay must be > 0";
   if cap < 1 then invalid_arg "Wal.syncer: cap must be >= 1";
-  match reactor with
-  | Some r ->
-    let s =
-      {
-        s_wal = wal;
-        delay;
-        cap;
-        on_durable;
-        running = true;
-        driver = On_reactor { r; timer = None };
-      }
-    in
-    (match s.driver with
-    | On_reactor d -> d.timer <- Some (Dex_runtime.Reactor.every r delay (fun () -> sync_pending s))
-    | Pipe _ -> assert false);
-    s
-  | None ->
-    let pipe_r, pipe_w = Unix.pipe () in
-    (* [select] cannot watch descriptors past FD_SETSIZE: refuse now with a
-       clear error instead of failing with EINVAL on the first sleep. *)
-    (try
-       let check fd who =
-         let n = fd_int fd in
-         if n < 0 || n >= Dex_runtime.Reactor.max_fds then
-           invalid_arg
-             (Printf.sprintf "%s: fd %d exceeds the select FD_SETSIZE limit (%d)" who n
-                Dex_runtime.Reactor.max_fds)
-       in
-       check pipe_r "Wal.syncer (self-pipe)";
-       check pipe_w "Wal.syncer (self-pipe)"
-     with e ->
-       (try Unix.close pipe_r with Unix.Unix_error _ -> ());
-       (try Unix.close pipe_w with Unix.Unix_error _ -> ());
-       raise e);
-    Unix.set_nonblock pipe_r;
-    Unix.set_nonblock pipe_w;
-    let s =
-      {
-        s_wal = wal;
-        delay;
-        cap;
-        on_durable;
-        running = true;
-        driver = Pipe { pipe_r; pipe_w; thread = None };
-      }
-    in
-    (match s.driver with
-    | Pipe p -> p.thread <- Some (Thread.create (syncer_loop s pipe_r) ())
-    | On_reactor _ -> assert false);
-    s
+  let owns_reactor, reactor =
+    match reactor with
+    | Some r -> (false, r)
+    | None -> (true, Dex_runtime.Reactor.create ~name:"wal-syncer" ())
+  in
+  let s = { s_wal = wal; cap; on_durable; running = true; reactor; owns_reactor; timer = None } in
+  s.timer <- Some (Dex_runtime.Reactor.every reactor delay (fun () -> sync_pending s));
+  s
 
 let syncer_append s payload =
   let lsn = append s.s_wal payload in
@@ -517,16 +451,9 @@ let syncer_append s payload =
 let kick_syncer s = if s.running then kick s
 
 let halt_driver s =
-  match s.driver with
-  | Pipe p ->
-    (try ignore (Unix.write p.pipe_w (Bytes.make 1 'k') 0 1) with Unix.Unix_error _ -> ());
-    Option.iter Thread.join p.thread;
-    p.thread <- None;
-    (try Unix.close p.pipe_r with Unix.Unix_error _ -> ());
-    (try Unix.close p.pipe_w with Unix.Unix_error _ -> ())
-  | On_reactor d ->
-    Option.iter (Dex_runtime.Reactor.cancel d.r) d.timer;
-    d.timer <- None
+  Option.iter (Dex_runtime.Reactor.cancel s.reactor) s.timer;
+  s.timer <- None;
+  if s.owns_reactor then Dex_runtime.Reactor.stop s.reactor
 
 let stop_syncer s =
   if s.running then begin

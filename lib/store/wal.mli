@@ -123,13 +123,10 @@ val syncer :
     [on_durable] is called with each new watermark — release
     acknowledgements there.
 
-    Without [reactor] the cadence runs on a dedicated thread sleeping in
-    [select] on a self-pipe (whose descriptors are checked against
-    FD_SETSIZE up front — a clear [Invalid_argument] instead of [EINVAL]
-    at high descriptor counts). With [reactor] it runs as a periodic timer
-    on that shared loop — fsync and [on_durable] execute on the reactor
-    thread — and the size cap posts an immediate sync instead of writing to
-    a pipe. *)
+    The cadence runs as a periodic timer on [reactor] — fsync and
+    [on_durable] execute on its loop thread — and the size cap posts an
+    immediate sync there. Without [reactor] the syncer creates a private
+    loop, stopped by {!stop_syncer} or {!abandon_syncer}. *)
 
 val syncer_append : syncer -> string -> int
 (** {!append} through the group-commit path (kicks the syncer at the size
@@ -143,8 +140,9 @@ val kick_syncer : syncer -> unit
     the remainder of the [delay] window. No-op when nothing is pending. *)
 
 val stop_syncer : syncer -> unit
-(** Final sync (with its [on_durable]), then stop the driver (joining the
-    thread, or cancelling the reactor timer). Idempotent. *)
+(** Stop the cadence (cancelling the timer, and stopping a private loop),
+    then a final sync with its [on_durable] on the calling thread.
+    Idempotent. *)
 
 val abandon_syncer : syncer -> unit
 (** Crash simulation: stop the driver {e without} the final sync (pair with

@@ -2,12 +2,15 @@
    verdicts and the oldest-age invariant, batcher cut/tick timing (settle
    exclusion, cap truncation, oldest re-arming, overdue valve, stall
    watchdog), the durability lane's persist-before-reply gate and snapshot
-   cadence, and the catch-up stage's [t+1] vote thresholds. None of these
-   need a live deployment — they drive the stages directly. *)
+   cadence, the catch-up stage's [t+1] vote thresholds, and the content
+   stage's full and coded fetch lanes. None of these need a live
+   deployment — they drive the stages directly. *)
 
 open Dex_service
 module Registry = Dex_metrics.Registry
 module Sm = State_machine
+module Protocol = Dex_net.Protocol
+module Fragment = Dex_erasure.Fragment
 
 let req ?(client = 1) rid = { Wire.client; rid; command = Sm.Add ("k", 1) }
 
@@ -295,6 +298,152 @@ let test_catchup_snap_votes () =
   Alcotest.(check bool) "divergent payload waits" true (vote 2 "other" = None);
   Alcotest.(check bool) "t+1 identical installs" true (vote 3 "snap" = Some (10, "snap"))
 
+(* ------------------------------- content ------------------------------- *)
+
+(* n = 4, t = 1: the coded lane decodes from any k = 3 fragments. *)
+let content ?(mode = Dex_erasure.Dissemination.Full) me =
+  let metrics = Registry.create () in
+  (Content.create ~metrics ~mode ~n:4 ~t:1 ~me ~retry:0.05 ~retain:16, metrics)
+
+let coded = Dex_erasure.Dissemination.Coded
+
+let count metrics name = Registry.value (Registry.counter metrics name)
+
+let deliver c ~from msg = Content.on_message c ~frontier:0 ~snapshot_slot:0 ~from msg
+
+let batch6 = Batch.canonical (List.init 6 (fun rid -> req (rid + 1)))
+
+let sent_frags actions =
+  List.filter_map
+    (function Protocol.Send (to_, Content.Frag_payload f) -> Some (to_, f) | _ -> None)
+    actions
+
+let test_content_full_fetch () =
+  let c, metrics = content 0 in
+  let b = batch_of 1 in
+  let d = Batch.digest b in
+  let actions = Content.request c d ~frontier:3 in
+  let fetched_by =
+    List.filter_map
+      (function Protocol.Send (p, Content.Fetch (d', 3)) when d' = d -> Some p | _ -> None)
+      actions
+  in
+  Alcotest.(check (list int)) "Fetch to every peer" [ 1; 2; 3 ] (List.sort compare fetched_by);
+  Alcotest.(check bool) "plus a retry timer" true
+    (List.mem (Protocol.Set_timer { delay = 0.05; msg = Content.Fetch (d, 3) }) actions);
+  Alcotest.(check int) "fetch counted once" 1 (Content.fetches c);
+  Alcotest.(check bool) "re-request while fetching is a no-op" true
+    (Content.request c d ~frontier:3 = []);
+  (* A payload whose body does not hash to the claimed digest is dropped. *)
+  let _, forged = deliver c ~from:1 (Content.Batch_payload (d, batch_of 2)) in
+  Alcotest.(check bool) "forged payload rejected" true (forged = None);
+  Alcotest.(check bool) "still fetching" true (Content.fetching c);
+  let retry, _ = deliver c ~from:0 (Content.Fetch (d, 3)) in
+  Alcotest.(check int) "retry timer re-broadcasts" 4 (List.length retry);
+  let _, resolved = deliver c ~from:2 (Content.Batch_payload (d, b)) in
+  Alcotest.(check bool) "genuine payload resolves" true (resolved = Some (d, b));
+  Alcotest.(check bool) "fetch over" false (Content.fetching c);
+  Alcotest.(check int) "one fetch round trip" 1 (count metrics "service/fetch_rtts");
+  Alcotest.(check bool) "late retry timer is a no-op" true
+    (fst (deliver c ~from:0 (Content.Fetch (d, 3))) = [])
+
+let test_content_coded_resolve () =
+  let b = batch6 in
+  let d = Batch.digest b in
+  let home = d mod 4 in
+  let others = List.filter (( <> ) home) [ 0; 1; 2; 3 ] in
+  let proposer, proposer_metrics = content ~mode:coded home in
+  let pushed = sent_frags (Content.propose proposer d b ~slot:0) in
+  Alcotest.(check (list (pair int int))) "home push: each peer its own index"
+    (List.map (fun p -> (p, p)) others)
+    (List.sort compare (List.map (fun (to_, f) -> (to_, f.Fragment.index)) pushed));
+  Alcotest.(check int) "push counted" 1 (count proposer_metrics "erasure/pushes");
+  let away, _ = content ~mode:coded ((home + 1) mod 4) in
+  Alcotest.(check bool) "only the home replica pushes" true
+    (Content.propose away d b ~slot:0 = []);
+  (* Replica r missed the push. The three other holders answer its request
+     with their own fragments; any k = 3 of them reconstruct the batch. *)
+  let me = List.hd others in
+  let r, metrics = content ~mode:coded me in
+  let mask =
+    match Content.request r d ~frontier:0 with
+    | Protocol.Send (_, Content.Frag_request (_, mask, _)) :: _ -> mask
+    | _ -> Alcotest.fail "expected a fragment request"
+  in
+  let holder pid =
+    let h, _ = content ~mode:coded pid in
+    Content.add h d b ~slot:0;
+    match sent_frags (fst (deliver h ~from:me (Content.Frag_request (d, mask, 0)))) with
+    | [ (to_, f) ] when to_ = me && f.Fragment.index = pid -> f
+    | _ -> Alcotest.fail "a holder serves exactly its own fragment"
+  in
+  let frags = List.map holder (List.filter (( <> ) me) [ 0; 1; 2; 3 ]) in
+  let results =
+    List.map (fun f -> snd (deliver r ~from:f.Fragment.index (Content.Frag_payload f))) frags
+  in
+  Alcotest.(check bool) "k - 1 fragments do not resolve" true
+    (List.filteri (fun i _ -> i < 2) results = [ None; None ]);
+  Alcotest.(check bool) "k fragments resolve the digest" true (List.nth results 2 = Some (d, b));
+  Alcotest.(check int) "one decode" 1 (count metrics "erasure/decodes");
+  Alcotest.(check int) "no fallback" 0 (count metrics "erasure/decode_fallbacks")
+
+let test_content_coded_lie () =
+  let b = batch6 in
+  let d = Batch.digest b in
+  let blob = Batch.to_blob b in
+  let len = String.length blob in
+  let bodies = Dex_erasure.Rs.encode ~k:3 ~n:4 blob in
+  let frag i body = Fragment.make ~digest:d ~index:i ~total:4 ~data:3 ~len body in
+  let r, metrics = content ~mode:coded 3 in
+  ignore (Content.request r d ~frontier:0);
+  ignore (deliver r ~from:0 (Content.Frag_payload (frag 0 bodies.(0))));
+  ignore (deliver r ~from:1 (Content.Frag_payload (frag 1 bodies.(1))));
+  (* Replica 2 lies with a self-consistent fragment: valid checksum, wrong
+     body. The reconstruction cannot rehash to the digest. *)
+  let lie = frag 2 (String.map (fun ch -> Char.chr (Char.code ch lxor 0x5a)) bodies.(2)) in
+  Alcotest.(check bool) "the lie passes the checksum" true (Fragment.valid lie);
+  let fallback, resolved = deliver r ~from:2 (Content.Frag_payload lie) in
+  Alcotest.(check bool) "not resolved" true (resolved = None);
+  Alcotest.(check int) "one decode failure" 1 (count metrics "erasure/decode_failures");
+  Alcotest.(check int) "one fallback" 1 (count metrics "erasure/decode_fallbacks");
+  Alcotest.(check bool) "fallback is a full fetch round" true
+    (List.mem (Protocol.Set_timer { delay = 0.05; msg = Content.Fetch (d, 0) }) fallback
+    && List.length fallback = 4);
+  (* The coded round timer also fires, repeatedly: no second fallback. *)
+  for _ = 1 to 5 do
+    ignore (deliver r ~from:3 (Content.Frag_request (d, 0, 0)))
+  done;
+  Alcotest.(check int) "still one fallback" 1 (count metrics "erasure/decode_fallbacks");
+  Alcotest.(check int) "still one decode failure" 1 (count metrics "erasure/decode_failures");
+  (* The same fragments again rebuild the pool and fail a second decode:
+     still no second fallback. *)
+  ignore (deliver r ~from:0 (Content.Frag_payload (frag 0 bodies.(0))));
+  ignore (deliver r ~from:1 (Content.Frag_payload (frag 1 bodies.(1))));
+  let again, _ = deliver r ~from:2 (Content.Frag_payload lie) in
+  Alcotest.(check int) "second decode failure" 2 (count metrics "erasure/decode_failures");
+  Alcotest.(check int) "no second fallback" 1 (count metrics "erasure/decode_fallbacks");
+  Alcotest.(check bool) "and no second full round" true (again = []);
+  let _, resolved = deliver r ~from:1 (Content.Batch_payload (d, b)) in
+  Alcotest.(check bool) "the full lane resolves it" true (resolved = Some (d, b))
+
+let test_content_coded_unsolicited () =
+  let r, metrics = content ~mode:coded 3 in
+  let frag ~digest index = Fragment.make ~digest ~index ~total:4 ~data:3 ~len:3 "x" in
+  let received () = count metrics "erasure/frag_recv" in
+  ignore (deliver r ~from:2 (Content.Frag_payload (frag ~digest:1 1)));
+  Alcotest.(check int) "index of neither sender nor us: ignored" 0 (received ());
+  ignore (deliver r ~from:2 (Content.Frag_payload (frag ~digest:1 2)));
+  Alcotest.(check int) "relayed home fragment pooled" 1 (received ());
+  ignore (deliver r ~from:0 (Content.Frag_payload (frag ~digest:1 3)));
+  Alcotest.(check int) "our own index pooled" 2 (received ());
+  (* Each further digest opens a pool; the table stops at 4,096. *)
+  for digest = 2 to 5000 do
+    ignore (deliver r ~from:1 (Content.Frag_payload (frag ~digest 1)))
+  done;
+  Alcotest.(check int) "pool table bounded" (2 + 4095) (received ());
+  ignore (deliver r ~from:1 (Content.Frag_payload (frag ~digest:1 1)));
+  Alcotest.(check int) "an open pool still fills" (2 + 4095 + 1) (received ())
+
 let () =
   Alcotest.run "dex_pipeline"
     [
@@ -323,5 +472,12 @@ let () =
           Alcotest.test_case "vote hygiene" `Quick test_catchup_vote_hygiene;
           Alcotest.test_case "completion" `Quick test_catchup_done;
           Alcotest.test_case "t+1 snapshot votes" `Quick test_catchup_snap_votes;
+        ] );
+      ( "content",
+        [
+          Alcotest.test_case "full: fetch, retry, rehash" `Quick test_content_full_fetch;
+          Alcotest.test_case "coded: home push, k-of-n resolve" `Quick test_content_coded_resolve;
+          Alcotest.test_case "coded: lying fragment, one fallback" `Quick test_content_coded_lie;
+          Alcotest.test_case "coded: unsolicited bounds" `Quick test_content_coded_unsolicited;
         ] );
     ]

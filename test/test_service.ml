@@ -181,15 +181,24 @@ let with_deployment ?roles cfg f =
   let d = S.launch ?roles cfg in
   Fun.protect ~finally:(fun () -> S.shutdown d) (fun () -> f d)
 
+(* [clients] closed-loop clients over one group of replica ports: the
+   router's throughput engine at one shard. *)
+let run_many ~clients ~duration ports workload =
+  let map = Dex_shard.Shard_map.create ~shards:1 () in
+  let r = Dex_shard.Router.connect ~map ~client:1 [ ports ] in
+  Fun.protect
+    ~finally:(fun () -> Dex_shard.Router.close r)
+    (fun () ->
+      let report = Dex_shard.Router.Load.run_many ~clients ~duration r workload in
+      report.Dex_shard.Router.Load.agg)
+
 let test_deployment_commits_one_step () =
   let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
   with_deployment cfg (fun d ->
-      let c = Client.connect ~client:1 (List.map snd d.S.ports) in
       let r =
-        Client.Load.run_many ~clients:8 ~duration:1.0 c (fun i ->
+        run_many ~clients:8 ~duration:1.0 (List.map snd d.S.ports) (fun i ->
             Sm.Set (Printf.sprintf "k%d" (i mod 8), i))
       in
-      Client.close c;
       Thread.delay 0.3;
       Alcotest.(check bool) "committed work" true (r.Client.Load.committed > 100);
       Alcotest.(check bool) "one-step path dominates" true
@@ -288,12 +297,10 @@ let test_commit_log_bounded () =
   let cap = 4 in
   let cfg = S.config ~commit_log_cap:cap ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
   with_deployment cfg (fun d ->
-      let c = Client.connect ~client:1 (List.map snd d.S.ports) in
       let r =
-        Client.Load.run_many ~clients:8 ~duration:1.0 c (fun i ->
+        run_many ~clients:8 ~duration:1.0 (List.map snd d.S.ports) (fun i ->
             Sm.Set (Printf.sprintf "k%d" (i mod 8), i))
       in
-      Client.close c;
       Thread.delay 0.3;
       Alcotest.(check bool) "committed work" true (r.Client.Load.committed > 0);
       List.iter
@@ -402,12 +409,10 @@ let test_coded_dissemination_deployment () =
       let ports = List.map snd d.S.ports in
       let starved = List.filteri (fun i _ -> i < 3) ports in
       let payload = String.make 4096 'x' in
-      let c = Client.connect ~client:1 starved in
       let r =
-        Client.Load.run_many ~clients:4 ~duration:1.5 c (fun i ->
+        run_many ~clients:4 ~duration:1.5 starved (fun i ->
             Sm.Blob (Printf.sprintf "b%d" (i mod 8), payload))
       in
-      Client.close c;
       Thread.delay 0.5;
       Alcotest.(check bool) "committed work" true (r.Client.Load.committed > 20);
       let compared, violations = S.agreement_violations d in
