@@ -1,8 +1,8 @@
 (* See the interface for the contract. Implementation notes:
 
    - Counters and settable gauges are [int Atomic.t]: increments from the
-     syncer thread, the batcher thread and connection readers never need a
-     lock, and a snapshot is a plain load per metric.
+     event loops of several replicas and mesh readers never need a lock,
+     and a snapshot is a plain load per metric.
    - Timers are 64 atomic buckets keyed by the bit-length of the sample in
      nanoseconds, plus an atomic running sum. An observation is one
      fetch-and-add and one add — no allocation, no float math beyond the

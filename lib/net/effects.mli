@@ -1,7 +1,7 @@
 (** The shared interpreter for {!Protocol.action} lists.
 
     Every execution backend — the discrete-event simulator ({!Runner}) and
-    the thread-per-process runtime ([Dex_runtime.Cluster]) — drives protocol
+    the loop-driven runtime ([Dex_runtime.Cluster]) — drives protocol
     instances by interpreting the action lists they emit. The interpretation
     loop itself (what a [Send], a [Decide], a [Set_timer] {e mean}) is
     backend-independent; only the three primitive effects differ. A backend

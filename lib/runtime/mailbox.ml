@@ -3,19 +3,17 @@ type 'a t = {
   nonempty : Condition.t;
   has_waiters : Condition.t;
   queue : 'a Queue.t;
-  use_watcher : bool;
   mutable closed : bool;
   mutable waiters : int;
   mutable watcher : Thread.t option;
 }
 
-let create ?(watcher = true) () =
+let create () =
   {
     mutex = Mutex.create ();
     nonempty = Condition.create ();
     has_waiters = Condition.create ();
     queue = Queue.create ();
-    use_watcher = watcher;
     closed = false;
     waiters = 0;
     watcher = None;
@@ -33,9 +31,7 @@ let push t x =
    to be sharp — timeouts fire when nothing is arriving, so their precision
    is unimportant. Poppers therefore block on [Condition.wait] (a push wakes
    them immediately), and blocked poppers re-check their deadlines at a
-   coarse tick: either from one lazily-spawned watcher thread per mailbox
-   (default), or from an external {!tick} caller — a reactor timer sweeping
-   every mailbox of a transport — when created with [~watcher:false]. The
+   coarse tick from one lazily-spawned watcher thread per mailbox. The
    watcher sleeps on [has_waiters] while nobody is blocked, so an idle or
    drained mailbox costs nothing, and it is joined by {!close}. *)
 let tick_interval = 0.005
@@ -61,7 +57,7 @@ let watcher_loop t () =
 let pop ~timeout t =
   let deadline = Unix.gettimeofday () +. timeout in
   Mutex.lock t.mutex;
-  if t.use_watcher && t.watcher = None && not t.closed then
+  if t.watcher = None && not t.closed then
     t.watcher <- Some (Thread.create (watcher_loop t) ());
   t.waiters <- t.waiters + 1;
   Condition.signal t.has_waiters;
@@ -79,10 +75,12 @@ let pop ~timeout t =
   Mutex.unlock t.mutex;
   result
 
-let tick t =
+let take_all t =
   Mutex.lock t.mutex;
-  if t.waiters > 0 then Condition.broadcast t.nonempty;
-  Mutex.unlock t.mutex
+  let xs = List.of_seq (Queue.to_seq t.queue) in
+  Queue.clear t.queue;
+  Mutex.unlock t.mutex;
+  xs
 
 let close t =
   Mutex.lock t.mutex;

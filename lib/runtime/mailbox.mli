@@ -1,14 +1,12 @@
-(** Thread-safe blocking FIFO queues — the delivery channel of the in-memory
-    transport and the receive buffer of the TCP transport. *)
+(** Thread-safe blocking FIFO queues — the reply inbox of the service
+    clients, and the receive buffer of a transport endpoint that has no
+    delivery hook installed. *)
 
 type 'a t
 
-val create : ?watcher:bool -> unit -> 'a t
-(** [watcher] (default [true]) selects how blocked {!pop} deadlines are
-    re-checked: with a lazily-spawned per-mailbox watcher thread (joined by
-    {!close}), or — when [false] — only when an external owner calls
-    {!tick}, letting one reactor timer sweep many mailboxes instead of one
-    thread each. *)
+val create : unit -> 'a t
+(** Blocked {!pop} deadlines are re-checked by a per-mailbox watcher
+    thread, spawned on the first {!pop} and joined by {!close}. *)
 
 val push : 'a t -> 'a -> unit
 (** Never blocks (unbounded queue). Pushing to a closed mailbox is a no-op:
@@ -19,9 +17,9 @@ val pop : timeout:float -> 'a t -> 'a option
     the mailbox is closed and drained. Deadline precision is one tick
     (5 ms) — arrival latency is sharp, timeout latency is coarse. *)
 
-val tick : 'a t -> unit
-(** Wake blocked poppers so they re-check their deadlines — the external
-    analogue of the watcher thread's tick; a no-op when nobody waits. *)
+val take_all : 'a t -> 'a list
+(** Remove and return every queued element, oldest first, without
+    blocking. *)
 
 val close : 'a t -> unit
 (** Wake all blocked readers and join the watcher thread (if any);

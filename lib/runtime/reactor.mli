@@ -83,6 +83,12 @@ val post : t -> (unit -> unit) -> unit
 (** Run a closure on the loop thread as soon as possible — the cross-thread
     entry point (equivalent to [after t 0.0] but cheaper). *)
 
+val call : t -> (unit -> 'a) -> 'a
+(** Run a closure on the loop thread and wait for its result (or its
+    exception) — how other threads read state the loop owns. Runs the
+    closure directly when the caller already is the loop thread, or once
+    the loop thread has exited, so it never hangs on a stopped loop. *)
+
 (** {2 Buffered connections}
 
     A [Conn] owns a nonblocking descriptor registered on a reactor: inbound

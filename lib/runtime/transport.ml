@@ -7,6 +7,7 @@ type link_stats = { reconnects : int; backoffs : int; drops : int }
 type 'msg t = {
   send : src:Pid.t -> dst:Pid.t -> 'msg -> unit;
   recv : me:Pid.t -> timeout:float -> (Pid.t * 'msg) option;
+  deliver : me:Pid.t -> (Pid.t -> 'msg -> unit) option -> unit;
   close : unit -> unit;
   drop_count : dst:Pid.t -> int;
   link_stats : unit -> link_stats;
@@ -129,9 +130,43 @@ module Links = struct
     List.sort compare s
 end
 
+(* One local endpoint: its receive mailbox plus an optional delivery hook.
+   Arrivals go to the hook when one is installed, else to the mailbox; the
+   lock keeps arrival order across a hook installation, which first hands
+   the hook everything already queued. *)
+module Endpoint = struct
+  type 'msg t = {
+    box : (Pid.t * 'msg) Mailbox.t;
+    lock : Mutex.t;
+    mutable hook : (Pid.t -> 'msg -> unit) option;
+  }
+
+  let create () = { box = Mailbox.create (); lock = Mutex.create (); hook = None }
+
+  let push ep (src, msg) =
+    Mutex.protect ep.lock (fun () ->
+        match ep.hook with Some h -> h src msg | None -> Mailbox.push ep.box (src, msg))
+
+  let set_hook ep hook =
+    Mutex.protect ep.lock (fun () ->
+        ep.hook <- hook;
+        Option.iter (fun h -> List.iter (fun (src, msg) -> h src msg) (Mailbox.take_all ep.box)) hook)
+
+  let close ep =
+    Mutex.protect ep.lock (fun () ->
+        ep.hook <- None;
+        Mailbox.close ep.box)
+end
+
+(* The endpoint-table half of a transport record: [recv] and [deliver]
+   over the local endpoints, nothing for pids hosted elsewhere. *)
+let recv_of eps ~me ~timeout =
+  match Hashtbl.find_opt eps me with None -> None | Some ep -> Mailbox.pop ~timeout ep.Endpoint.box
+
+let deliver_of eps ~me hook = Option.iter (fun ep -> Endpoint.set_hook ep hook) (Hashtbl.find_opt eps me)
+
 (* A joined scheduler thread executing thunks at deadlines — the delayed
-   half of fault injection ({!with_faults}). Same shape as {!Mem}'s jitter
-   queue, but over closures so it can front any transport. *)
+   half of fault injection ({!with_faults}) and {!Mem}'s delivery jitter. *)
 module Delay_queue = struct
   type t = {
     mutex : Mutex.t;
@@ -242,6 +277,10 @@ let offset ~base ~count inner =
         match inner.recv ~me:(me + base) ~timeout with
         | Some (src, msg) -> Some (src - base, msg)
         | None -> None);
+    deliver =
+      (fun ~me hook ->
+        inner.deliver ~me:(me + base)
+          (Option.map (fun h src msg -> h (src - base) msg) hook));
     close = (fun () -> ());
     drop_count = (fun ~dst -> inner.drop_count ~dst:(dst + base));
     link_stats = inner.link_stats;
@@ -253,52 +292,11 @@ let offset ~base ~count inner =
   }
 
 module Mem = struct
-  (* Jittered deliveries used to spawn one detached thread each; a single
-     joined scheduler thread with a delay queue delivers them instead, so
+  (* Jittered deliveries go through one joined delay-queue thread, so
      [close] leaves no threads behind. *)
-  type 'a delayed = {
-    dmutex : Mutex.t;
-    dcond : Condition.t;
-    dq : ('a Mailbox.t * 'a) Pqueue.t;
-    mutable dseq : int;
-    mutable dclosed : bool;
-    mutable dthread : Thread.t option;
-  }
-
-  let delayed_loop d () =
-    let rec loop () =
-      Mutex.lock d.dmutex;
-      while Pqueue.is_empty d.dq && not d.dclosed do
-        Condition.wait d.dcond d.dmutex
-      done;
-      if d.dclosed then Mutex.unlock d.dmutex
-      else begin
-        let now = Unix.gettimeofday () in
-        let rec due acc =
-          match Pqueue.peek d.dq with
-          | Some (at, _, _) when at <= now -> (
-            match Pqueue.pop d.dq with
-            | Some (_, _, x) -> due (x :: acc)
-            | None -> acc)
-          | _ -> acc
-        in
-        let ready = due [] in
-        let next = match Pqueue.peek d.dq with Some (at, _, _) -> Some at | None -> None in
-        Mutex.unlock d.dmutex;
-        List.iter (fun (box, env) -> Mailbox.push box env) (List.rev ready);
-        (match next with
-        | Some at ->
-          let nap = Float.min 0.001 (Float.max 0.0 (at -. Unix.gettimeofday ())) in
-          if nap > 0.0 then Thread.delay nap
-        | None -> ());
-        loop ()
-      end
-    in
-    loop ()
-
   let create ?metrics ?faults ?(jitter = 0.0) ?(seed = 0) ~pids () =
-    let boxes = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace boxes p (Mailbox.create ())) pids;
+    let eps = Hashtbl.create 16 in
+    List.iter (fun p -> Hashtbl.replace eps p (Endpoint.create ())) pids;
     let links = Links.create ?metrics () in
     let rng = Prng.create ~seed in
     let rng_mutex = Mutex.create () in
@@ -308,61 +306,23 @@ module Mem = struct
       Mutex.unlock rng_mutex;
       d
     in
-    let delayed =
-      if jitter > 0.0 then begin
-        let d =
-          {
-            dmutex = Mutex.create ();
-            dcond = Condition.create ();
-            dq = Pqueue.create ();
-            dseq = 0;
-            dclosed = false;
-            dthread = None;
-          }
-        in
-        d.dthread <- Some (Thread.create (delayed_loop d) ());
-        Some d
-      end
-      else None
-    in
+    let delayed = if jitter > 0.0 then Some (Delay_queue.create ()) else None in
     let send ~src ~dst msg =
-      match Hashtbl.find_opt boxes dst with
-      | None -> Links.record_drop links dst
-      | Some box -> (
-        match delayed with
-        | Some d ->
-          Mutex.lock d.dmutex;
-          if not d.dclosed then begin
-            let at = Unix.gettimeofday () +. draw_delay () in
-            Pqueue.push d.dq ~time:at ~seq:d.dseq (box, (src, msg));
-            d.dseq <- d.dseq + 1;
-            Condition.signal d.dcond
-          end;
-          Mutex.unlock d.dmutex
-        | None -> Mailbox.push box (src, msg))
-    in
-    let recv ~me ~timeout =
-      match Hashtbl.find_opt boxes me with
-      | None -> None
-      | Some box -> Mailbox.pop ~timeout box
+      match (Hashtbl.find_opt eps dst, delayed) with
+      | None, _ -> Links.record_drop links dst
+      | Some ep, Some dq ->
+        Delay_queue.push dq ~delay:(draw_delay ()) (fun () -> Endpoint.push ep (src, msg))
+      | Some ep, None -> Endpoint.push ep (src, msg)
     in
     let close () =
-      (match delayed with
-      | Some d ->
-        Mutex.lock d.dmutex;
-        d.dclosed <- true;
-        Condition.broadcast d.dcond;
-        let th = d.dthread in
-        d.dthread <- None;
-        Mutex.unlock d.dmutex;
-        Option.iter Thread.join th
-      | None -> ());
-      Hashtbl.iter (fun _ box -> Mailbox.close box) boxes
+      Option.iter Delay_queue.close delayed;
+      Hashtbl.iter (fun _ ep -> Endpoint.close ep) eps
     in
     let t =
       {
         send;
-        recv;
+        recv = recv_of eps;
+        deliver = deliver_of eps;
         close;
         drop_count = (fun ~dst -> Links.drop_count links dst);
         (* No connections to lose in-process: only drops are meaningful. *)
@@ -375,7 +335,7 @@ end
 
 (* Reactor-driven TCP with typed codec frames: every socket is nonblocking
    and registered on one shared event loop — no thread per connection, no
-   thread per accept loop, no watcher thread per mailbox. Outbound frames
+   thread per accept loop. Outbound frames
    queue on buffered connections that coalesce multiple frames per [write];
    inbound chunks reassemble through {!Dex_codec.Codec.Frame.Reader}.
    Reconnects preserve frame boundaries: a dead connection's unsent frames
@@ -406,17 +366,12 @@ module Tcp_codec = struct
     (* I/O sharding: [reactor_for pid] is the loop that owns pid's inbound
        listener and accepted connections (and the outbound connections pid
        originates), so the read+decode work of n co-located endpoints spreads
-       over several loops instead of serializing on one. Timers (mailbox
-       tick, reconnect backoff) stay on the primary [reactor]. *)
+       over several loops instead of serializing on one. Reconnect backoff
+       timers stay on the primary [reactor]. *)
     let reactor_for = match reactor_for with Some f -> f | None -> fun _ -> reactor in
     let frame_codec = Dex_codec.Codec.pair Dex_codec.Codec.int codec in
-    let boxes = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace boxes p (Mailbox.create ~watcher:false ())) pids;
-    (* One periodic timer re-checks pop deadlines for every mailbox,
-       replacing one watcher thread per mailbox. *)
-    let tick_timer =
-      Reactor.every reactor 0.005 (fun () -> Hashtbl.iter (fun _ b -> Mailbox.tick b) boxes)
-    in
+    let eps = Hashtbl.create 16 in
+    List.iter (fun p -> Hashtbl.replace eps p (Endpoint.create ())) pids;
     let ports = Hashtbl.create 16 in
     List.iter (fun (pid, port) -> Hashtbl.replace ports pid port) remotes;
     let links = Links.create ?metrics () in
@@ -591,15 +546,13 @@ module Tcp_codec = struct
     let attach_inbound ~dst sock =
       Unix.setsockopt sock Unix.TCP_NODELAY true;
       let reader = Dex_codec.Codec.Frame.Reader.create frame_codec in
-      let box = Hashtbl.find_opt boxes dst in
+      let ep = Hashtbl.find_opt eps dst in
       let cell = ref None in
       match
         Reactor.Conn.attach (reactor_for dst) sock
           ~on_bytes:(fun bytes len ->
             let frames = Dex_codec.Codec.Frame.Reader.feed reader bytes len in
-            match box with
-            | Some bx -> List.iter (Mailbox.push bx) frames
-            | None -> ())
+            Option.iter (fun ep -> List.iter (Endpoint.push ep) frames) ep)
           ~on_close:(fun () ->
             Mutex.lock state_mutex;
             (match !cell with
@@ -653,11 +606,6 @@ module Tcp_codec = struct
             accept_ready ()))
       pids;
 
-    let recv ~me ~timeout =
-      match Hashtbl.find_opt boxes me with
-      | None -> None
-      | Some box -> Mailbox.pop ~timeout box
-    in
     let close () =
       Mutex.lock state_mutex;
       if !closed then Mutex.unlock state_mutex
@@ -677,20 +625,24 @@ module Tcp_codec = struct
         Hashtbl.reset accepted;
         Hashtbl.reset out;
         Mutex.unlock state_mutex;
-        Reactor.cancel reactor tick_timer;
         Hashtbl.iter
           (fun pid sock ->
             Reactor.remove (reactor_for pid) sock;
+            (* Shut down before closing: a loop still parked in [select]
+               holds the socket, and a merely closed one keeps listening
+               until that loop wakes, so rebinding the port would fail. *)
+            (try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
             try Unix.close sock with Unix.Unix_error _ -> ())
           listeners;
         List.iter Reactor.Conn.close conns;
-        Hashtbl.iter (fun _ box -> Mailbox.close box) boxes
+        Hashtbl.iter (fun _ ep -> Endpoint.close ep) eps
       end
     in
     let t =
       {
         send;
-        recv;
+        recv = recv_of eps;
+        deliver = deliver_of eps;
         close;
         drop_count = (fun ~dst -> Links.drop_count links dst);
         link_stats = (fun () -> Links.totals links);

@@ -29,7 +29,16 @@ type 'msg t = {
           short bounded backoff before the message is abandoned; sends to
           destinations outside the mesh are abandoned immediately. *)
   recv : me:Pid.t -> timeout:float -> (Pid.t * 'msg) option;
-      (** blocking receive on [me]'s endpoint *)
+      (** blocking receive on [me]'s endpoint (while it has no delivery
+          hook) *)
+  deliver : me:Pid.t -> (Pid.t -> 'msg -> unit) option -> unit;
+      (** install ([Some h]) or remove ([None]) [me]'s delivery hook. While
+          a hook is installed, every frame arriving for [me] is handed to
+          [h src msg] on the arriving thread (a TCP endpoint's loop, a
+          sender's thread in memory) instead of queueing for [recv];
+          installing it first hands [h] the frames already queued, in
+          order. The hook must not block. A no-op for pids that are not
+          local endpoints. *)
   close : unit -> unit;  (** tear everything down; idempotent *)
   drop_count : dst:Pid.t -> int;
       (** how many messages to [dst] this endpoint set has abandoned (after
@@ -55,7 +64,7 @@ type 'msg t = {
 val offset : base:Pid.t -> count:int -> 'msg t -> 'msg t
 (** A pid-namespaced view onto a larger mesh: the view's local pids
     [0 .. count-1] are the underlying transport's [base .. base+count-1].
-    [send]/[recv]/[drop_count] translate both directions; [peer_links]
+    [send]/[recv]/[deliver]/[drop_count] translate both directions; [peer_links]
     reports only peers inside the window (re-based); [link_stats] is the
     whole underlying transport's aggregate. The view is {e borrowed}: its
     [close] is a no-op — the owner of the underlying mesh closes it once
@@ -68,7 +77,7 @@ val with_faults : Fault_plan.t -> 'msg t -> 'msg t
     consults the plan ({!Fault_plan.decide}), which may drop it, duplicate
     it, or defer copies — deferred copies are delivered by one joined
     scheduler thread, torn down by [close] (pending copies are discarded).
-    [recv] and the link-stats surface pass through; injected events are
+    [recv], [deliver] and the link-stats surface pass through; injected events are
     visible through the plan's own trace, counts and [chaos/*] metrics. The
     [?faults] parameter on the constructors below is shorthand for wrapping
     with this function. *)
@@ -115,8 +124,7 @@ module Tcp_codec : sig
       The transport runs event-driven on [reactor]: nonblocking sockets,
       incremental frame reassembly ({!Dex_codec.Codec.Frame.Reader}),
       outbound queues that coalesce multiple frames per [write] syscall,
-      reconnect backoffs as reactor timers, and one shared timer that
-      re-checks every mailbox's receive deadline. Per-peer write-buffer
+      and reconnect backoffs as reactor timers. Per-peer write-buffer
       high-water marks are mirrored to [metrics] as
       [net/wbuf_hwm/peer<pid>]. The reactor is borrowed, not owned: [close]
       deregisters everything but leaves the loop running for its owner to
@@ -127,7 +135,7 @@ module Tcp_codec : sig
       co-located endpoints over several loops: [reactor_for pid] owns pid's
       listener, its accepted connections and the outbound connections pid
       originates, so one process hosting a whole mesh does not serialize
-      every endpoint's reads on a single thread. Timers (mailbox deadline
-      tick, reconnect backoff) stay on the primary [reactor]; the shard
+      every endpoint's reads on a single thread. Reconnect backoff timers
+      stay on the primary [reactor]; the shard
       loops are likewise borrowed, never stopped. *)
 end

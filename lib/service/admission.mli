@@ -9,8 +9,8 @@
     since a proposal can lose its slot and the request must keep the
     batcher armed for the next one.
 
-    Not internally synchronized: the owner serializes access (the replica
-    calls in under its lock). *)
+    Not internally synchronized: the owner drives it from one thread (the
+    replica's service loop). *)
 
 type verdict = Admitted | Duplicate | Overflow
 

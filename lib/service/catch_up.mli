@@ -10,8 +10,8 @@
     frontier tables and the accept/threshold logic; the replica drives it
     and performs the actual installs.
 
-    Not internally synchronized: the owner serializes access under its own
-    lock. All slot arguments are relative to the owner's current apply
+    Not internally synchronized: the owner drives it from one thread (the
+    replica's service loop). All slot arguments are relative to the owner's current apply
     frontier, passed in as [frontier]. *)
 
 open Dex_net

@@ -191,7 +191,10 @@ let full_fetch c digest ~frontier =
    rounds set the desperate bit (bit n): fewer than k peers hold this
    batch, so home fragments alone cannot complete the decode — holders
    encode every missing index. The mask lists only what is missing, so the
-   duplicate cost is bounded by holders x missing. *)
+   duplicate cost is bounded by holders x missing. Round [r] waits
+   [2^r x retry]: answers that are only slow (holders busy encoding large
+   batches) must not trigger more desperate rounds, each of which makes
+   every holder encode every missing index again. *)
 let coded_fetch c k digest ~frontier =
   let held = Hashtbl.find_opt k.frags digest in
   let mask = ref 0 in
@@ -199,9 +202,12 @@ let coded_fetch c k digest ~frontier =
     if not (Option.fold ~none:false ~some:(fun pool -> Hashtbl.mem pool i) held) then
       mask := !mask lor (1 lsl i)
   done;
-  if Hashtbl.mem k.rounds digest then mask := !mask lor (1 lsl c.n);
+  let round = Option.value ~default:0 (Hashtbl.find_opt k.rounds digest) in
+  if round > 0 then mask := !mask lor (1 lsl c.n);
   broadcast c (Frag_request (digest, !mask, frontier))
-  @ [ Protocol.Set_timer { delay = c.retry; msg = Frag_request (digest, 0, frontier) } ]
+  @ [ Protocol.Set_timer
+        { delay = c.retry *. float_of_int (1 lsl round); msg = Frag_request (digest, 0, frontier) }
+    ]
 
 let request c digest ~frontier =
   if Hashtbl.mem c.unresolved digest then []

@@ -15,13 +15,15 @@
       dissemination): the proposer's home replica pushes each peer its own
       systematic fragment; a missing batch is pulled as the fragment
       indices still needed and reconstructed from any [k] of [n]. A round
-      timer re-requests for 3 rounds, then fails over to the full lane —
+      timer re-requests for 3 rounds, backing off (round [r] waits
+      [2^r x retry]), then fails over to the full lane —
       at most once per digest, also after a decode that does not rehash to
       the digest. Catch-up votes go digest-only and snapshots travel as one
       fragment per responder.
 
     Not internally synchronized: like {!Catch_up}, the replica drives it
-    under its own lock and passes its apply frontier in as [frontier]. The
+    from its one service loop and passes its apply frontier in as
+    [frontier]. The
     stage never touches the apply loop: resolved content comes back as
     [(digest, batch)] for the replica to store with {!add} and apply.
 

@@ -133,8 +133,6 @@ let install_capture t ~slot ~payload ~covering_lsn =
   | Some dir ->
     Snapshot.install ~dir ~slot payload;
     Registry.incr t.c_snapshots;
-    (* [wal] is set once at creation, so reading it without the replica lock
-       here (we run on the service loop, off the apply path) is safe. *)
     Option.iter (fun wal -> Wal.truncate_below wal ~lsn:(covering_lsn + 1)) t.wal
 
 let note_installed t ~slot ~payload =

@@ -7,11 +7,9 @@
     not yet covered by the durable watermark waits in the lane ({!gate})
     until the syncer's callback advances it ({!release_up_to}).
 
-    The lane is lock-agnostic: it never takes the replica lock, and all
-    mutating calls must be serialized by the owner (the replica calls in
-    under its own lock; {!install_capture} is the documented exception —
-    it runs on the service loop, off the apply path, touching only
-    creation-time-fixed state and the WAL's own lock).
+    Not internally synchronized: the owner drives every call from one
+    thread (the replica's service loop); only the WAL underneath has its
+    own lock.
 
     With no data directory the lane is inert: {!append} returns lsn 0,
     which {!gate} treats as already-durable, so the undurable configuration
@@ -47,8 +45,8 @@ val start_group_commit :
   unit
 (** Start the WAL group-commit syncer on [reactor]: the fsync cadence is a
     timer on that loop ({!Dex_store.Wal.syncer}), and [on_durable] runs
-    there with each new watermark (take the replica lock, then call
-    {!release_up_to}). No-op when the lane is inert. *)
+    there with each new watermark (call {!release_up_to} from it). No-op
+    when the lane is inert. *)
 
 val append : t -> string -> int
 (** Append one commit record, returning the lsn that gates its replies
@@ -89,7 +87,7 @@ val clear_queued : t -> unit
 val maybe_capture : t -> apply_next:int -> every:int -> encode:(unit -> string) -> unit
 (** Capture a snapshot payload at the current apply boundary when the
     cadence is due (at most one capture outstanding). Capture is cheap and
-    in-memory — call it under the replica lock; the fsyncs happen in
+    in-memory — call it on the apply path; the fsyncs happen in
     {!install_capture}. *)
 
 val take_capture : t -> (int * string * int) option
@@ -98,7 +96,7 @@ val take_capture : t -> (int * string * int) option
 val install_capture : t -> slot:int -> payload:string -> covering_lsn:int -> unit
 (** Persist a claimed capture: snapshot install (tmp + rename + dir sync),
     bump [durability/snapshots], truncate the WAL below the covering lsn.
-    Runs without the replica lock (on the service loop). *)
+    Runs on the service loop, off the apply path. *)
 
 val note_installed : t -> slot:int -> payload:string -> unit
 (** A snapshot transferred from a peer was just installed into the live

@@ -4,11 +4,12 @@
 
     This module owns everything about a replica that does not touch a
     socket: {!Server} layers the TCP service (listener, client connections,
-    the batch timer) and deployment helpers on top. The split line is
-    exactly the replica lock — all state here is driven under [t.lock].
-    Two threads call in: the {!Dex_runtime.Cluster} node thread runs the
-    consensus callbacks, and the replica's reactor runs client I/O, batch
-    cuts and WAL group commit.
+    the batch timer) and deployment helpers on top. A replica runs on one
+    thread, its service loop ([service_reactor]): {!Dex_runtime.Cluster}
+    runs the consensus callbacks there, beside client I/O, batch cuts and
+    WAL group commit, so no state here needs a lock. Other threads read it
+    through the observation getters below, which run on that loop
+    ({!Dex_runtime.Reactor.call}).
 
     Every replica carries its own {!Dex_metrics.Registry} ({!metrics}):
     the [service/*] counters and gauges below, the [wal/*] family from its
@@ -146,12 +147,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   (** Transparent so the {!Server} socket layer can drive the service
       fields; everything consensus-side is reached through the functions
-      below and must only be touched under [lock]. *)
+      below. Every field is owned by the service loop: touch it only from
+      a callback running there. *)
   type t = {
     cfg : config;
     me : Pid.t;
     transport : smsg Transport.t;
-    lock : Mutex.t;
     admission : Admission.t;
     lane : Durability_lane.t;
     cu : Catch_up.t;
@@ -186,8 +187,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     mutable listener : Unix.file_descr option;
     mutable service_port : int option;
     service_reactor : Dex_runtime.Reactor.t;
-        (** the replica's event loop: client I/O, batch cuts, WAL group
-            commit *)
+        (** the replica's event loop and only thread: consensus, client
+            I/O, batch cuts, WAL group commit *)
     owns_reactor : bool;
         (** whether the replica created [service_reactor] (private loop, the
             server stops it) or borrowed a shared one (its owner stops it) *)
@@ -217,7 +218,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       [service_reactor] runs this replica on a shared,
       borrowed loop instead of a private one — sharded deployments use it to
       keep the loop count bounded by replica index, not shard count. The
-      returned handlers plug into {!Dex_runtime.Cluster}. *)
+      returned handlers plug into {!Dex_runtime.Cluster}, which must run
+      them on [service_reactor]. *)
 
   val handle_request : t -> conn:Dex_runtime.Reactor.Conn.t -> Wire.request -> unit
   (** A client request arrived on [conn]: session-cache retry, Busy while
@@ -233,7 +235,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** Persist the outstanding snapshot capture, if any (the fsyncs run on
       the calling thread — the service loop — off the apply path). *)
 
-  (** {2 Observation} *)
+  (** {2 Observation}
+
+      Safe from any thread. [stats], [catching_up], [apply_frontier],
+      [commit_log], [state_snapshot] and [state_digest] read on the service
+      loop ({!Dex_runtime.Reactor.call}), or directly once that loop has
+      stopped — so they also answer for a crashed replica. *)
 
   val stats : t -> stats
 

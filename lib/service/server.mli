@@ -41,8 +41,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       ephemeral port — the return value is the bound port) and start the
       service machinery on the replica's reactor: a nonblocking listener,
       per-connection event-driven framing and the batcher cadence as a
-      timer (the same loop hosts the WAL group-commit timer and the
-      one-shot settle cut).
+      timer (the same loop runs the replica's consensus and the one-shot
+      settle cut).
       @raise Invalid_argument if already running. *)
 
   val service_port : t -> int option
@@ -97,11 +97,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     sr_net_metrics : Dex_metrics.Registry.t;
         (** the registry the shared mesh reports its [net/*] counters into *)
     sr_net_reactor : Reactor.t option;
-        (** the mesh's primary loop, hosting this deployment's protocol
-            timers too; borrowed, never stopped here *)
+        (** the mesh's primary loop, also running this deployment's nodes
+            that are not replicas (UC auxiliaries, mute and equivocating
+            replicas); borrowed, never stopped here *)
     sr_service_loop_for : (Pid.t -> Reactor.t) option;
-        (** the shared service loop each replica pid runs its client I/O,
-            batch cadence and WAL group commit on — so loop count is bounded
+        (** the shared service loop each replica pid runs its consensus,
+            client I/O and batch cadence on — so loop count is bounded
             by replica index, not by group count; [None] gives every
             replica a private loop *)
   }
@@ -121,10 +122,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
             [wal/*] families live in each replica's {!metrics} registry *)
     net_reactor : Reactor.t option;
         (** the primary mesh loop, shared by the transport's timers and the
-            cluster's protocol timers (its [reactor/*] gauges land in
-            [net_metrics]); each replica's client I/O runs on its own loop
-            in its own registry. [None] only under a lent runtime that
-            supplies no loop. *)
+            nodes that are not replicas (its [reactor/*] gauges land in
+            [net_metrics]); each replica's consensus and client I/O run on
+            its own loop, in its own registry. [None] only under a lent
+            runtime that supplies no loop. *)
     mesh_shards : Reactor.t array;
         (** extra mesh loops the per-endpoint I/O is sharded across (see
             {!mesh}) — co-located replicas' reads must not serialize on one
@@ -183,8 +184,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       on every send. *)
 
   val kill_replica : deployment -> Pid.t -> unit
-  (** Crash one correct replica: its consensus loop stops, its service
-      sockets close, and its WAL is abandoned mid-flight ({!crash}). Its
+  (** Crash one correct replica: its consensus stops, its service loop
+      stops (unless shared), its service sockets close, and its WAL is abandoned mid-flight ({!crash}). Its
       transport endpoint stays up. The pre-crash commit log is retained for
       {!agreement_violations}.
       @raise Invalid_argument if [pid] is not a live correct replica. *)

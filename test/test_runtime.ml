@@ -1,6 +1,6 @@
-(* Tests for dex_runtime: mailboxes, the in-memory and TCP transports, and
-   full DEX consensus running on real threads — the same Protocol.instance
-   values the simulator drives. *)
+(* Tests for dex_runtime: mailboxes, the in-memory and TCP transports, the
+   reactor, and full DEX consensus running on reactor loops — the same
+   Protocol.instance values the simulator drives. *)
 
 open Dex_condition
 open Dex_net
@@ -553,6 +553,53 @@ let test_tcp_reactor_reconnect_while_writable () =
   List.iter Unix.close (lst :: !conns);
   Reactor.stop r
 
+let test_cluster_local_events_skip_fault_plan () =
+  (* Pid 0 arms a timer and sends itself a message under a plan that drops
+     everything pid 0 sends. Both are local events of the process: neither
+     reaches the transport, so both arrive and the plan never sees them. *)
+  let plan =
+    Fault_plan.make
+      {
+        Fault_plan.empty_spec with
+        rules = [ (Fault_plan.From 0, { Fault_plan.clean_rule with drop = 1.0 }) ];
+      }
+  in
+  let transport = Transport.Mem.create ~faults:plan ~pids:[ 0 ] () in
+  let seen = ref [] in
+  let cluster =
+    Cluster.create ~transport ~n:1 (fun _ ->
+        {
+          Protocol.start =
+            (fun () -> [ Protocol.Set_timer { delay = 0.01; msg = 1 }; Protocol.Send (0, 2) ]);
+          on_message =
+            (fun ~now:_ ~from m ->
+              Alcotest.(check int) "from itself" 0 from;
+              seen := m :: !seen;
+              if List.length !seen = 2 then [ Protocol.decide 7 ] else []);
+        })
+  in
+  Cluster.start cluster;
+  let ok = Cluster.await ~timeout:2.0 cluster in
+  Cluster.shutdown cluster;
+  Alcotest.(check bool) "timer and self-send both arrived" true ok;
+  Alcotest.(check (list int)) "self-send first, then the timer" [ 2; 1 ] (List.rev !seen);
+  Alcotest.(check int) "the plan saw no send" 0 (Fault_plan.counts plan).Fault_plan.sent
+
+let test_reactor_call () =
+  let r = Reactor.create () in
+  let loop_thread = Reactor.call r (fun () -> Thread.id (Thread.self ())) in
+  Alcotest.(check bool) "runs on the loop" true (loop_thread <> Thread.id (Thread.self ()));
+  Alcotest.(check int) "nested call runs inline" 3
+    (Reactor.call r (fun () -> Reactor.call r (fun () -> 3)));
+  Alcotest.check_raises "exception reaches the caller" (Failure "boom") (fun () ->
+      Reactor.call r (fun () -> failwith "boom"));
+  (* A busy loop delays the call; it does not lose it. *)
+  Reactor.post r (fun () -> Thread.delay 0.1);
+  Alcotest.(check int) "answered behind a busy callback" 4 (Reactor.call r (fun () -> 4));
+  Reactor.stop r;
+  Alcotest.(check int) "stopped loop: runs on the caller" (Thread.id (Thread.self ()))
+    (Reactor.call r (fun () -> Thread.id (Thread.self ())))
+
 let test_cluster_double_start_rejected () =
   let transport = Transport.Mem.create ~pids:[ 0 ] () in
   let cluster =
@@ -595,6 +642,7 @@ let () =
           Alcotest.test_case "tcp_codec on reactor" `Quick test_tcp_reactor_roundtrip;
           Alcotest.test_case "reconnect while writable" `Quick
             test_tcp_reactor_reconnect_while_writable;
+          Alcotest.test_case "call" `Quick test_reactor_call;
         ] );
       ( "cluster",
         [
@@ -604,5 +652,7 @@ let () =
           Alcotest.test_case "wall times" `Quick test_cluster_decision_wall_times;
           Alcotest.test_case "leader UC on threads" `Quick test_cluster_leader_uc_on_threads;
           Alcotest.test_case "double start rejected" `Quick test_cluster_double_start_rejected;
+          Alcotest.test_case "timers and self-sends skip the fault plan" `Quick
+            test_cluster_local_events_skip_fault_plan;
         ] );
     ]

@@ -449,7 +449,15 @@ let test_shutdown_joins_threads () =
     let baseline = thread_count () in
     let run () =
       let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
+      let before = thread_count () in
       let d = S.launch cfg in
+      (* A deployment runs on its loops alone: the mesh loops and one
+         service loop per replica, where each replica's consensus runs too.
+         (At most: a thread an earlier test left behind may exit meanwhile.) *)
+      let loops = 1 + Array.length d.S.mesh_shards + List.length d.S.servers in
+      let extra = thread_count () - before in
+      if extra > loops then
+        Alcotest.failf "%d threads started for a deployment of %d loops" extra loops;
       let c = Client.connect ~client:1 (List.map snd d.S.ports) in
       let stop = ref false in
       let loader =
@@ -469,7 +477,7 @@ let test_shutdown_joins_threads () =
       Client.close c
     in
     run ();
-    (* Every cluster, syncer and loop thread must have been joined: the
+    (* Every syncer and loop thread must have been joined: the
        process returns to its pre-deployment thread count. *)
     let deadline = Unix.gettimeofday () +. 5.0 in
     let rec settle () =
@@ -484,6 +492,54 @@ let test_shutdown_joins_threads () =
     in
     settle ()
   end
+
+let test_getters_on_stopped_and_busy_loops () =
+  (* Replica getters run on the replica's loop. From a foreign thread they
+     must answer while that loop is under client load, and after a crash
+     has stopped the loop they must answer directly instead of waiting on
+     it. *)
+  let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
+  with_deployment cfg (fun d ->
+      let within_1s what f =
+        let t0 = Unix.gettimeofday () in
+        ignore (f ());
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt >= 1.0 then Alcotest.failf "%s took %.2f s" what dt
+      in
+      let getters s =
+        within_1s "commit_log" (fun () -> S.commit_log s);
+        within_1s "stats" (fun () -> S.stats s);
+        within_1s "state_digest" (fun () -> S.state_digest s);
+        within_1s "apply_frontier" (fun () -> S.apply_frontier s);
+        within_1s "state_snapshot" (fun () -> S.state_snapshot s);
+        within_1s "catching_up" (fun () -> S.catching_up s)
+      in
+      let ports = List.map snd d.S.ports in
+      let report = ref None in
+      let loader =
+        Thread.create
+          (fun () ->
+            report :=
+              Some
+                (run_many ~clients:8 ~duration:1.0 ports (fun i ->
+                     Sm.Set (Printf.sprintf "k%d" (i mod 8), i))))
+          ()
+      in
+      let s0 = List.assoc 0 d.S.servers in
+      let deadline = Unix.gettimeofday () +. 0.8 in
+      while Unix.gettimeofday () < deadline do
+        getters s0
+      done;
+      Thread.join loader;
+      Alcotest.(check bool) "committed under the getters" true
+        ((Option.get !report).Client.Load.committed > 0);
+      S.kill_replica d 1;
+      let s1 = List.assoc 1 d.S.dead in
+      getters s1;
+      Alcotest.(check bool) "the crashed replica's log is readable" true (S.commit_log s1 <> []);
+      let compared, violations = S.agreement_violations d in
+      Alcotest.(check bool) "slots compared" true (compared > 0);
+      Alcotest.(check int) "no agreement violations" 0 (List.length violations))
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -582,6 +638,8 @@ let () =
           Alcotest.test_case "coded dissemination, starved replica" `Quick
             test_coded_dissemination_deployment;
           Alcotest.test_case "shutdown joins threads" `Quick test_shutdown_joins_threads;
+          Alcotest.test_case "getters on stopped or busy loops" `Quick
+            test_getters_on_stopped_and_busy_loops;
           Alcotest.test_case "connect closes a refused socket" `Quick
             test_connect_closes_refused_socket;
           Alcotest.test_case "config validation" `Quick test_config_validation;
