@@ -446,13 +446,16 @@ module Run (L : PL.LANE) = struct
              | digest :: rest -> List.for_all (fun dx -> dx = digest) rest)
            (G.deployments g)
     in
+    (* The verdict is the sample that ended the wait: a second sample could
+       land mid-way through a trailing slot that some replicas of a shard
+       have applied and others not yet, and fail a run that converged. *)
     let did_converge = ref false in
     let await_convergence g =
       let deadline = Unix.gettimeofday () +. 20.0 in
-      while (not (converged g)) && Unix.gettimeofday () < deadline do
-        Thread.delay 0.1
-      done;
-      did_converge := converged g
+      let rec wait () =
+        converged g || (Unix.gettimeofday () < deadline && (Thread.delay 0.1; wait ()))
+      in
+      did_converge := wait ()
     in
     let g, report, crash_err = run ~during:crash_and_restart ~settle:await_convergence opts in
     (* The recovery report reads the unified registry: the restarted

@@ -426,6 +426,37 @@ let test_content_coded_lie () =
   let _, resolved = deliver r ~from:1 (Content.Batch_payload (d, b)) in
   Alcotest.(check bool) "the full lane resolves it" true (resolved = Some (d, b))
 
+(* Coded fetch rounds back off: round r waits 2^r x retry, so the fetch
+   fails over to the full lane after 0.05 + 0.1 + 0.2 + 0.4 = 0.75 s
+   (15 x retry) of unanswered rounds — once. *)
+let test_content_coded_backoff () =
+  let d = Batch.digest batch6 in
+  let r, metrics = content ~mode:coded 3 in
+  let round_timer actions =
+    List.filter_map
+      (function
+        | Protocol.Set_timer { delay; msg = Content.Frag_request (d', 0, 0) } when d' = d ->
+          Some delay
+        | _ -> None)
+      actions
+  in
+  let fire () = fst (deliver r ~from:3 (Content.Frag_request (d, 0, 0))) in
+  Alcotest.(check (list (float 1e-9))) "first round waits retry" [ 0.05 ]
+    (round_timer (Content.request r d ~frontier:0));
+  List.iter
+    (fun delay ->
+      Alcotest.(check (list (float 1e-9))) "next round waits twice as long" [ delay ]
+        (round_timer (fire ())))
+    [ 0.1; 0.2; 0.4 ];
+  Alcotest.(check int) "no fallback yet" 0 (count metrics "erasure/decode_fallbacks");
+  let fallback = fire () in
+  Alcotest.(check bool) "fourth firing falls over to a full fetch round" true
+    (List.mem (Protocol.Set_timer { delay = 0.05; msg = Content.Fetch (d, 0) }) fallback
+    && round_timer fallback = []);
+  Alcotest.(check int) "one fallback" 1 (count metrics "erasure/decode_fallbacks");
+  Alcotest.(check bool) "a later firing does nothing" true (fire () = []);
+  Alcotest.(check int) "still one fallback" 1 (count metrics "erasure/decode_fallbacks")
+
 let test_content_coded_unsolicited () =
   let r, metrics = content ~mode:coded 3 in
   let frag ~digest index = Fragment.make ~digest ~index ~total:4 ~data:3 ~len:3 "x" in
@@ -478,6 +509,8 @@ let () =
           Alcotest.test_case "full: fetch, retry, rehash" `Quick test_content_full_fetch;
           Alcotest.test_case "coded: home push, k-of-n resolve" `Quick test_content_coded_resolve;
           Alcotest.test_case "coded: lying fragment, one fallback" `Quick test_content_coded_lie;
+          Alcotest.test_case "coded: rounds back off, then one fallback" `Quick
+            test_content_coded_backoff;
           Alcotest.test_case "coded: unsolicited bounds" `Quick test_content_coded_unsolicited;
         ] );
     ]
