@@ -629,14 +629,17 @@ module Run (L : PL.LANE) = struct
           report.Router.Load.agg.Load.committed)
 end
 
+(* The leader UC with its round timeouts in seconds, for the live runtime. *)
+module Uc_leader_live = Uc_leader.Make (struct let timeout_base = 0.25 end)
+
 let lane_of id uc : (module PL.LANE) =
   match (id, uc) with
   | PL.Dex, `Oracle -> (module Dex_core.Dex.Lane (Uc_oracle))
-  | PL.Dex, `Leader -> (module Dex_core.Dex.Lane (Uc_leader))
+  | PL.Dex, `Leader -> (module Dex_core.Dex.Lane (Uc_leader_live))
   | PL.Kuo_chen, `Oracle -> (module Dex_baselines.Kuo_chen.Lane (Uc_oracle))
-  | PL.Kuo_chen, `Leader -> (module Dex_baselines.Kuo_chen.Lane (Uc_leader))
+  | PL.Kuo_chen, `Leader -> (module Dex_baselines.Kuo_chen.Lane (Uc_leader_live))
   | PL.Hbft, `Oracle -> (module Dex_baselines.Hbft.Lane (Uc_oracle))
-  | PL.Hbft, `Leader -> (module Dex_baselines.Hbft.Lane (Uc_leader))
+  | PL.Hbft, `Leader -> (module Dex_baselines.Hbft.Lane (Uc_leader_live))
 
 (* Pids named on the command line must exist, and a replica plays at most
    one Byzantine role. *)
@@ -660,9 +663,8 @@ let dispatch gate uc_name protocol opts : unit Term.ret =
   | _, None, _ -> `Error (false, Printf.sprintf "unknown uc %S (use oracle or leader)" uc_name)
   | _, _, Some usage -> `Error (true, usage)
   | Some id, Some uc, None -> (
-    (* Round timeouts in seconds on the thread runtime. *)
-    if uc = `Leader then Uc_leader.timeout_base := 0.25;
-    let module Run = Run ((val lane_of id uc)) in
+    let module L = (val lane_of id uc) in
+    let module Run = Run (L) in
     let run =
       match gate with
       | `Serve -> Run.serve

@@ -67,24 +67,25 @@ let enqueue t ~src ~dst ~kind ~depth payload =
     t.inflight <- t.inflight @ [ { key = { src; dst; kind; chan }; payload; depth } ]
   end
 
-(* [depth] is the causal depth outgoing messages carry, as in
-   [Effects.execute]: timer events re-enter the process one level lower so
-   that timer-handler emissions keep the depth current when the timer was
-   set; a decision consumed a message of depth [depth - 1]. *)
-let execute_actions t ~self ~depth actions =
-  List.iter
-    (function
-      | Protocol.Send (dst, m) -> enqueue t ~src:self ~dst ~kind:Message ~depth m
-      | Protocol.Set_timer { delay = _; msg } ->
-        enqueue t ~src:self ~dst:self ~kind:Timer ~depth:(depth - 1) msg
-      | Protocol.Decide { value; tag } ->
+(* The checker's primitives for the shared {!Effects} interpreter. [depth]
+   is the causal depth outgoing messages carry: a timer re-enters the
+   process one level lower, so that its handler's emissions keep the depth
+   current when the timer was set; a decision consumed a message of depth
+   [depth - 1]. *)
+let handler t =
+  {
+    Effects.send =
+      (fun ~src ~depth ~dst ~payload -> enqueue t ~src ~dst ~kind:Message ~depth payload);
+    set_timer =
+      (fun ~src ~depth ~delay:_ ~msg -> enqueue t ~src ~dst:src ~kind:Timer ~depth:(depth - 1) msg);
+    decide =
+      (fun ~pid ~depth ~value ~tag ->
         let d = { value; tag; depth = depth - 1; step = t.nsteps } in
-        if self >= 0 && self < t.sys.n then begin
-          match t.decisions.(self) with
-          | None -> t.decisions.(self) <- Some d
-          | Some _ -> t.late <- (self, d) :: t.late
-        end)
-    actions
+        if pid >= 0 && pid < t.sys.n then
+          match t.decisions.(pid) with
+          | None -> t.decisions.(pid) <- Some d
+          | Some _ -> t.late <- (pid, d) :: t.late);
+  }
 
 let create sys =
   let extras = List.sort (fun (a, _) (b, _) -> Pid.compare a b) (sys.make_extra ()) in
@@ -105,7 +106,7 @@ let create sys =
   in
   List.iter (fun (p, inst) -> Hashtbl.replace t.instances p inst) ordered;
   List.iter
-    (fun (p, inst) -> execute_actions t ~self:p ~depth:1 (inst.Protocol.start ()))
+    (fun (p, inst) -> Effects.execute (handler t) ~self:p ~depth:1 (inst.Protocol.start ()))
     ordered;
   t
 
@@ -124,7 +125,7 @@ let deliver_event t ev =
     let actions =
       inst.Protocol.on_message ~now:(float_of_int t.nsteps) ~from:ev.key.src ev.payload
     in
-    execute_actions t ~self:ev.key.dst ~depth:(ev.depth + 1) actions
+    Effects.execute (handler t) ~self:ev.key.dst ~depth:(ev.depth + 1) actions
 
 let deliver_nth t k =
   let rec split i acc = function

@@ -1,7 +1,8 @@
 (** The shared interpreter for {!Protocol.action} lists.
 
-    Every execution backend — the discrete-event simulator ({!Runner}) and
-    the loop-driven runtime ([Dex_runtime.Cluster]) — drives protocol
+    Every execution backend — the discrete-event simulator ({!Runner}), the
+    model checker's schedule-driven executor ([Dex_mcheck.Exec]) and the
+    loop-driven runtime ([Dex_runtime.Cluster]) — drives protocol
     instances by interpreting the action lists they emit. The interpretation
     loop itself (what a [Send], a [Decide], a [Set_timer] {e mean}) is
     backend-independent; only the three primitive effects differ. A backend

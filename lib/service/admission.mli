@@ -10,7 +10,7 @@
     batcher armed for the next one.
 
     Not internally synchronized: the owner drives it from one thread (the
-    replica's service loop). *)
+    replica's step). *)
 
 type verdict = Admitted | Duplicate | Overflow
 

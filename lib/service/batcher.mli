@@ -11,7 +11,7 @@
       the proposals diverge (costing the one-step path); a cutoff pushed
       [settle] into the past falls in the quiet gap between request waves,
       so every replica cuts the same batch.
-    - {!tick} is the service loop's per-tick decision: whether to release
+    - {!tick} is the replica's per-tick decision: whether to release
       the next slot ([fire]) and whether the stall watchdog should force a
       catch-up round ([wedged]). *)
 

@@ -11,7 +11,7 @@
     and performs the actual installs.
 
     Not internally synchronized: the owner drives it from one thread (the
-    replica's service loop). All slot arguments are relative to the owner's current apply
+    replica's step). All slot arguments are relative to the owner's current apply
     frontier, passed in as [frontier]. *)
 
 open Dex_net

@@ -22,7 +22,7 @@
       fragment per responder.
 
     Not internally synchronized: like {!Catch_up}, the replica drives it
-    from its one service loop and passes its apply frontier in as
+    from its step and passes its apply frontier in as
     [frontier]. The
     stage never touches the apply loop: resolved content comes back as
     [(digest, batch)] for the replica to store with {!add} and apply.

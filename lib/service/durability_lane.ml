@@ -63,10 +63,6 @@ let start_group_commit ~reactor t ~delay ~cap ~on_durable =
   | Some wal -> t.syncer <- Some (Wal.syncer ~delay ~cap ~reactor wal ~on_durable)
   | None -> ()
 
-let wal_lsn t = t.wal_lsn
-
-let released_lsn t = t.released_lsn
-
 let snapshot_slot t = t.snapshot_slot
 
 let set_snapshot_slot t slot = t.snapshot_slot <- slot

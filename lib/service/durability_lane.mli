@@ -8,8 +8,8 @@
     until the syncer's callback advances it ({!release_up_to}).
 
     Not internally synchronized: the owner drives every call from one
-    thread (the replica's service loop); only the WAL underneath has its
-    own lock.
+    thread (the replica's step, and the shell's WAL syncer on the same
+    loop); only the WAL underneath has its own lock.
 
     With no data directory the lane is inert: {!append} returns lsn 0,
     which {!gate} treats as already-durable, so the undurable configuration
@@ -96,7 +96,7 @@ val take_capture : t -> (int * string * int) option
 val install_capture : t -> slot:int -> payload:string -> covering_lsn:int -> unit
 (** Persist a claimed capture: snapshot install (tmp + rename + dir sync),
     bump [durability/snapshots], truncate the WAL below the covering lsn.
-    Runs on the service loop, off the apply path. *)
+    Runs on the replica's tick, off the apply path. *)
 
 val note_installed : t -> slot:int -> payload:string -> unit
 (** A snapshot transferred from a peer was just installed into the live
@@ -113,10 +113,6 @@ val preferred_snapshot_slot : t -> live:int -> int
 val load_disk_snapshot : t -> (int * string) option
 
 (** {2 Observation / lifecycle} *)
-
-val wal_lsn : t -> int
-
-val released_lsn : t -> int
 
 val snapshot_slot : t -> int
 

@@ -1,6 +1,5 @@
 open Dex_condition
 open Dex_net
-open Dex_runtime
 open Dex_smr
 
 module Registry = Dex_metrics.Registry
@@ -113,25 +112,6 @@ module Make (L : PL.LANE) = struct
         | 12 -> Snapshot_fetch_full (int.read r)
         | other -> bad_tag ~name:"Server.smsg" other)
 
-  let pp_smsg ppf = function
-    | Log_msg m -> Log.pp_msg ppf m
-    | Fetch (d, slot) -> Format.fprintf ppf "fetch %d@%d" d slot
-    | Batch_payload (d, b) -> Format.fprintf ppf "payload %d (%d reqs)" d (List.length b)
-    | Truncated slot -> Format.fprintf ppf "truncated (snap %d)" slot
-    | Catch_up from_slot -> Format.fprintf ppf "catch-up from %d" from_slot
-    | Slot_commit { slot; digest; _ } -> Format.fprintf ppf "slot-commit %d=%d" slot digest
-    | Catch_up_done frontier -> Format.fprintf ppf "catch-up-done @%d" frontier
-    | Snapshot_fetch from_slot -> Format.fprintf ppf "snapshot-fetch from %d" from_slot
-    | Snapshot_payload (slot, payload) ->
-      Format.fprintf ppf "snapshot @%d (%d bytes)" slot (String.length payload)
-    | Frag_request (d, mask, slot) ->
-      Format.fprintf ppf "frag-request %d mask=%#x@%d" d mask slot
-    | Frag_payload frag -> Format.fprintf ppf "frag-payload %a" Dex_erasure.Fragment.pp frag
-    | Snapshot_frag { slot; frag } ->
-      Format.fprintf ppf "snapshot-frag @%d %a" slot Dex_erasure.Fragment.pp frag
-    | Snapshot_fetch_full from_slot ->
-      Format.fprintf ppf "snapshot-fetch-full from %d" from_slot
-
   type config = {
     n : int;
     t : int;
@@ -227,15 +207,28 @@ module Make (L : PL.LANE) = struct
     snapshots : int;  (** snapshots installed locally *)
   }
 
+  type event =
+    | Start
+    | Message of Pid.t * smsg
+    | Request of Wire.request
+    | Tick
+    | Cut
+    | Durable of int
+
+  type effect =
+    | Act of smsg Protocol.action
+    | Reply of Wire.reply
+    | Arm_cut of float
+    | Via_transport of Pid.t * smsg
+
   type t = {
     cfg : config;
     me : Pid.t;
-    transport : smsg Transport.t;
     (* Pipeline stages. The admission queue and batcher decide what enters a
        proposal; the durability lane gates replies on the WAL; catch-up
        holds the vote tables of the recovery lane; the content stage holds
        batches by digest and fetches the ones we miss. All are driven from
-       the service loop. *)
+       [step]. *)
     admission : Admission.t;
     lane : Durability_lane.t;
     cu : Catch_up.t;
@@ -245,12 +238,10 @@ module Make (L : PL.LANE) = struct
        client retries are idempotent, and a reply never leaves before its
        record is on disk. *)
     sessions : (int, int * Wire.outcome * int) Hashtbl.t;
-    conns : (int, Reactor.Conn.t) Hashtbl.t;  (* client -> latest reply connection *)
-    dirty : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
-        (* connections with unpumped replies, pumped once per wave: one
-           coalesced [write] instead of a reactor loop turn *)
     commit_buf : (int, int * Dex_core.Dex.provenance) Hashtbl.t;  (* slot -> commit *)
-    outbox : smsg Protocol.action list ref;  (* actions produced by callbacks *)
+    mutable log : Log.msg Protocol.instance;  (* set in [create]: its callbacks close over [t] *)
+    mutable effects : effect list;  (* the current step's effects, newest first *)
+    mutable now : float;  (* the current step's clock *)
     mutable state : State_machine.t;
     (* Newest first; bounded by [commit_log_cap] (a long-lived server would
        otherwise leak one entry per slot forever). Truncated lazily at twice
@@ -260,7 +251,7 @@ module Make (L : PL.LANE) = struct
     mutable commit_log_floor : int;  (* no commit-log coverage below this slot *)
     mutable apply_next : int;
     mutable next_slot : int;  (* one past the highest slot this replica has touched *)
-    mutable last_progress : float;  (* wall time of the last commit/apply/release *)
+    mutable last_progress : float;  (* time of the last commit/apply/release *)
     mutable last_watchdog : float;  (* last stall-watchdog firing *)
     (* Per-replica metrics registry: every counter below, the [wal/*] and
        [durability/*] families, and the backlog/apply-lag gauges. *)
@@ -277,24 +268,7 @@ module Make (L : PL.LANE) = struct
     c_recovered : Registry.counter;
     c_catchup_installed : Registry.counter;
     c_state_transfers : Registry.counter;
-    (* Service-side plumbing, owned by the socket layer in [Server]. *)
-    mutable running : bool;
-    mutable listener : Unix.file_descr option;
-    mutable service_port : int option;
-    (* The replica's own loop and only thread: consensus, client I/O, the
-       batcher cadence and the WAL group-commit timer all run on it. *)
-    service_reactor : Reactor.t;
-    (* Whether this replica created [service_reactor] (and so must stop it)
-       or borrowed a shared loop from the deployment (which stops it). *)
-    owns_reactor : bool;
-    mutable client_conns : Reactor.Conn.t list;
-    mutable batch_timer : Reactor.timer option;
-    mutable cut_armed : bool;  (* a one-shot cut timer is outstanding *)
-    (* The outstanding one-shot cut timer itself, so [stop_service] can
-       cancel it: the reactor may outlive this replica incarnation
-       (crash/restart under a shared loop), and an orphaned cut timer must
-       not tick a dead — or worse, restarted — instance's batcher. *)
-    mutable cut_timer : Reactor.timer option;
+    mutable cut_armed : bool;  (* a one-shot cut is outstanding *)
     (* Extra delay added to the one-shot cut timer beyond settle-eligibility.
        Adaptive: every underlying-provenance commit is evidence the replicas
        cut divergent batches (some loop proposed before its client reads
@@ -303,18 +277,18 @@ module Make (L : PL.LANE) = struct
        (~0.1 ms); cross-process saturation finds the knee where cuts land in
        wave gaps again. *)
     mutable cut_margin : float;
-    g_client_hwm : Registry.gauge;
-        (* high-water mark of client-connection write buffers (bytes) *)
   }
 
-  let push_action t action = t.outbox := action :: !(t.outbox)
+  let push t effect = t.effects <- effect :: t.effects
+
+  let push_action t action = push t (Act action)
 
   let drain t =
-    let actions = List.rev !(t.outbox) in
-    t.outbox := [];
-    actions
+    let effects = List.rev t.effects in
+    t.effects <- [];
+    effects
 
-  let lift actions = Protocol.map_actions (fun m -> Log_msg m) actions
+  let lift actions = List.map (fun a -> Act a) (Protocol.map_actions (fun m -> Log_msg m) actions)
 
   (* The content stage speaks a subset of [smsg], one to one. *)
   let emit t actions =
@@ -343,25 +317,24 @@ module Make (L : PL.LANE) = struct
      the slot is uncontended). *)
   let propose t ~slot =
     if slot >= t.next_slot then t.next_slot <- slot + 1;
-    let batch =
-      Batcher.cut t.admission ~now:(Unix.gettimeofday ()) ~settle:t.cfg.settle
-        ~cap:t.cfg.batch_cap
-    in
+    let batch = Batcher.cut t.admission ~now:t.now ~settle:t.cfg.settle ~cap:t.cfg.batch_cap in
     let d = Batch.digest batch in
     if d <> Batch.empty_digest then emit t (Content.propose t.content d batch ~slot);
     d
 
   (* One batcher tick: decide via {!Batcher.tick}, then send the release /
-     watchdog messages to ourselves over the transport, fault plan
-     included. This is an open defect (ROADMAP item 3), not a design: a
-     local event should not cross the transport, but today liveness under
-     loss depends on the hop. A release handed straight to our own
-     instance made this replica cut its batch a hop ahead of the peers
-     that cut on its proposal, so under saturation most slots diverged to
-     the underlying consensus; and an undelayed, unfaulted release stalled
-     the chaos gauntlet within 20 slots. *)
+     watchdog messages to ourselves as [Via_transport] effects, so they
+     cross the transport and its fault plan. This is an open defect, not a
+     design: a local event should not cross the transport, but today
+     liveness under loss depends on the hop. A release handed straight to
+     our own instance made this replica cut its batch a hop ahead of the
+     peers that cut on its proposal, so under saturation most slots
+     diverged to the underlying consensus; and an undelayed, unfaulted
+     release stalled the chaos gauntlet within 20 slots. ROADMAP item 1(c)
+     owns the cut-alignment half and item 11(c) the liveness half; once
+     both are done, [Via_transport] can go. *)
   let batcher_tick t =
-    let now = Unix.gettimeofday () in
+    let now = t.now in
     let { Batcher.fire; wedged } =
       Batcher.tick ~now
         ~catching_up:(Catch_up.active t.cu)
@@ -376,68 +349,36 @@ module Make (L : PL.LANE) = struct
     if wedged then t.last_watchdog <- now;
     let upto = t.next_slot + 1 in
     Content.gc t.content ~frontier:t.apply_next;
-    if fire then t.transport.Transport.send ~src:t.me ~dst:t.me (Log_msg (Log.release upto));
-    if wedged then t.transport.Transport.send ~src:t.me ~dst:t.me (Catch_up (-1))
+    if fire then push t (Via_transport (t.me, Log_msg (Log.release upto)));
+    if wedged then push t (Via_transport (t.me, Catch_up (-1)))
 
-  (* One-shot cut timer: fire when the just-admitted request (or the oldest
+  (* One-shot cut: fire when the just-admitted request (or the oldest
      pending one) turns settle-eligible, with a small margin so the tick
-     lands on the eligible side of the cutoff. The server's periodic batch
-     timer remains the safety net (watchdog, GC, missed edges), so a timer
-     that fires fractionally early costs one cadence. A no-op until the
-     server starts the service. *)
+     lands on the eligible side of the cutoff. The periodic [Tick] remains
+     the safety net (watchdog, GC, missed edges), so a cut that fires
+     fractionally early costs one cadence. *)
   let arm_cut t =
-    if t.running && not t.cut_armed then begin
+    if not t.cut_armed then begin
       t.cut_armed <- true;
       let oldest = Admission.oldest t.admission in
       let margin = t.cut_margin in
-      let delay =
-        if oldest = Float.infinity then t.cfg.settle +. margin
-        else Float.max margin (t.cfg.settle -. (Unix.gettimeofday () -. oldest) +. margin)
-      in
-      (* Tracked (in [t.cut_timer]) so the server's stop can cancel it, and
-         the callback re-checks [running]: the reactor can outlive this
-         replica incarnation under crash/restart, and an orphaned one-shot
-         must not tick a stopped instance's batcher. *)
-      t.cut_timer <-
-        Some
-          (Reactor.after t.service_reactor delay (fun () ->
-               t.cut_armed <- false;
-               t.cut_timer <- None;
-               if t.running then batcher_tick t))
+      push t
+        (Arm_cut
+           (if oldest = Float.infinity then t.cfg.settle +. margin
+            else Float.max margin (t.cfg.settle -. (t.now -. oldest) +. margin)))
     end
 
-  (* [conns] holds the most recent connection a client spoke on. A dead
-     client costs a silent drop. *)
-  let reply t ~client ~rid outcome =
-    match Hashtbl.find_opt t.conns client with
-    | None -> ()
-    | Some c ->
-      if Reactor.Conn.is_open c then begin
-        Reactor.Conn.buffer c
-          (Dex_codec.Codec.Frame.to_string Wire.reply_codec { Wire.client; rid; outcome });
-        Hashtbl.replace t.dirty (Reactor.Conn.fd c) c
-      end
-      else Hashtbl.remove t.conns client
+  let reply t ~client ~rid outcome = push t (Reply { Wire.client; rid; outcome })
 
   (* Persist-before-reply: route through the durability lane, which queues
      the reply until the group-commit watermark covers its lsn. *)
   let reply_or_queue t ~client ~rid ~lsn outcome =
-    Durability_lane.gate t.lane ~client ~rid ~lsn outcome ~reply:(fun ~client ~rid outcome ->
-        reply t ~client ~rid outcome)
+    Durability_lane.gate t.lane ~client ~rid ~lsn outcome ~reply:(reply t)
 
-  (* Reply writes are buffered; one pump per wave of replies (an applied
-     batch touches many clients over few connections). *)
-  let flush_dirty t =
-    Hashtbl.iter (fun _ c -> Reactor.Conn.pump c) t.dirty;
-    Hashtbl.reset t.dirty
-
-  (* Group-commit callback (runs on the service loop, which drives the WAL
-     syncer): the watermark advanced, so release every reply it now covers. *)
+  (* The WAL's group commit advanced its watermark: release every reply it
+     now covers. *)
   let on_durable t watermark =
-    if
-      Durability_lane.release_up_to t.lane ~watermark ~reply:(fun ~client ~rid outcome ->
-          reply t ~client ~rid outcome)
-    then flush_dirty t
+    ignore (Durability_lane.release_up_to t.lane ~watermark ~reply:(reply t))
 
   (* Append the slot's commit record; returns the lsn gating its replies
      (0 = already durable / durability off). *)
@@ -539,7 +480,7 @@ module Make (L : PL.LANE) = struct
        log (it decided passively while we lagged): it is applied, logged and
        counted — drop the duplicate. *)
     if slot >= t.apply_next then begin
-      t.last_progress <- Unix.gettimeofday ();
+      t.last_progress <- t.now;
       Registry.incr t.c_committed;
       commit_log_push t ~slot ~digest ~provenance;
       if digest = Batch.empty_digest then Registry.incr t.c_empty
@@ -563,7 +504,6 @@ module Make (L : PL.LANE) = struct
       if digest <> Batch.empty_digest && Content.find t.content digest = None then
         emit t (Content.request t.content digest ~frontier:t.apply_next);
       apply_ready t;
-      flush_dirty t;
       (* Requests admitted while this slot was in flight were held back by
          the batcher's [idle] gate: re-arm the cut now that the log is
          locally quiet again. *)
@@ -585,7 +525,7 @@ module Make (L : PL.LANE) = struct
       (Protocol.Set_timer { delay = t.cfg.catchup_retry; msg = Catch_up t.apply_next })
 
   let begin_catchup t =
-    if Catch_up.begin_ t.cu ~now:(Unix.gettimeofday ()) then broadcast_catchup t
+    if Catch_up.begin_ t.cu ~now:t.now then broadcast_catchup t
 
   let finish_catchup t =
     if Catch_up.active t.cu then begin
@@ -606,7 +546,7 @@ module Make (L : PL.LANE) = struct
     end
 
   let check_catchup_done t =
-    if Catch_up.satisfied t.cu ~now:(Unix.gettimeofday ()) ~frontier:t.apply_next then
+    if Catch_up.satisfied t.cu ~now:t.now ~frontier:t.apply_next then
       finish_catchup t
 
   (* Install every slot at the frontier that has [t+1] matching votes; each
@@ -623,7 +563,7 @@ module Make (L : PL.LANE) = struct
       | Some (digest, provenance, content) ->
         let slot = t.apply_next in
         Registry.incr t.c_catchup_installed;
-        t.last_progress <- Unix.gettimeofday ();
+        t.last_progress <- t.now;
         commit_log_push t ~slot ~digest ~provenance;
         (if digest <> Batch.empty_digest then
            match content with
@@ -663,7 +603,7 @@ module Make (L : PL.LANE) = struct
       t.commit_log_floor <- max t.commit_log_floor slot;
       Content.snapshot_settled t.content;
       Registry.incr t.c_state_transfers;
-      t.last_progress <- Unix.gettimeofday ();
+      t.last_progress <- t.now;
       (* Snapshot covers every session outcome; queued replies for the old
          lsns are for clients that predate the crash anyway. *)
       Durability_lane.clear_queued t.lane;
@@ -690,11 +630,10 @@ module Make (L : PL.LANE) = struct
       | Some (slot, payload) when slot > from_slot -> Some (slot, payload)
       | _ -> if t.apply_next > from_slot then Some (t.apply_next, encode_snapshot t) else None
     in
-    match chosen with
-    | None -> []
-    | Some (slot, payload) ->
-      emit t (Content.serve_snapshot t.content ~to_:from ~whole ~slot payload);
-      drain t
+    Option.iter
+      (fun (slot, payload) ->
+        emit t (Content.serve_snapshot t.content ~to_:from ~whole ~slot payload))
+      chosen
 
   (* Verified batch content for [digest] came back from the content stage:
      store it, pinned for as long as a committed-but-unapplied slot still
@@ -801,183 +740,72 @@ module Make (L : PL.LANE) = struct
             end)
       r.Durability_lane.entries
 
-  (* ----------------------------- the replica ----------------------------- *)
+  (* ------------------------------- events -------------------------------- *)
 
-  let replica ?catchup ?service_reactor:shared_loop cfg ~me ~transport =
-    let metrics = Registry.create () in
-    let lane, recovered =
-      Durability_lane.create ?dir:(replica_dir cfg me) ~segment_bytes:cfg.wal_segment_bytes
-        ~metrics ()
-    in
-    (* The replica runs on one reactor: consensus, client I/O, the batcher
-       cadence and the WAL group-commit timer all land on it. By default it
-       owns a private loop (whose [reactor/*] gauges land in this replica's
-       registry); a sharded deployment passes [service_reactor] to share
-       loops across co-located replicas — borrowed, never stopped by this
-       replica. *)
-    let owns_reactor, service_reactor =
-      match shared_loop with
-      | Some r -> (false, r)
-      | None -> (true, Reactor.create ~metrics ~name:(Printf.sprintf "replica-%d" me) ())
-    in
-    let t =
-      {
-        cfg;
-        me;
-        transport;
-        admission = Admission.create ~cap:cfg.queue_cap;
-        lane;
-        cu = Catch_up.create ~n:cfg.n ~t:cfg.t ~cap:cfg.catchup_cap ~grace:cfg.catchup_grace;
-        content =
-          Content.create ~metrics ~mode:cfg.dissemination ~n:cfg.n ~t:cfg.t ~me
-            ~retry:cfg.fetch_retry ~retain:cfg.retain;
-        sessions = Hashtbl.create 64;
-        conns = Hashtbl.create 64;
-        dirty = Hashtbl.create 8;
-        commit_buf = Hashtbl.create 64;
-        outbox = ref [];
-        state = State_machine.create ();
-        commit_log = [];
-        commit_log_len = 0;
-        commit_log_floor = 0;
-        apply_next = 0;
-        next_slot = 0;
-        last_progress = Unix.gettimeofday ();
-        last_watchdog = Unix.gettimeofday ();
-        metrics;
-        c_committed = Registry.counter metrics "service/committed_slots";
-        c_empty = Registry.counter metrics "service/empty_slots";
-        c_provenance =
-          List.map
-            (fun p ->
-              (p, Registry.counter metrics ("service/" ^ PL.metric_of_provenance p)))
-            PL.all_provenances;
-        c_applied = Registry.counter metrics "service/applied";
-        c_suppressed = Registry.counter metrics "service/suppressed_duplicates";
-        c_busy = Registry.counter metrics "service/busy_rejections";
-        c_recovered = Registry.counter metrics "service/recovered_slots";
-        c_catchup_installed = Registry.counter metrics "service/catchup_installed";
-        c_state_transfers = Registry.counter metrics "service/state_transfers";
-        running = false;
-        listener = None;
-        service_port = None;
-        service_reactor;
-        owns_reactor;
-        client_conns = [];
-        batch_timer = None;
-        cut_armed = false;
-        cut_timer = None;
-        cut_margin = 0.0001;
-        g_client_hwm = Registry.gauge metrics "service/client_wbuf_hwm";
-      }
-    in
-    Registry.gauge_fn metrics "service/backlog" (fun () -> Admission.size t.admission);
-    Registry.gauge_fn metrics "service/apply_lag" (fun () -> Hashtbl.length t.commit_buf);
-    replay t recovered;
-    if cfg.group_commit then
-      Durability_lane.start_group_commit ~reactor:service_reactor lane ~delay:cfg.sync_delay
-        ~cap:cfg.sync_cap ~on_durable:(on_durable t);
-    let want_catchup =
-      match catchup with Some c -> c | None -> recovered.Durability_lane.had_state
-    in
-    (* Arm the gate immediately — traffic arriving before [start] must see
-       it up; [start] restamps the grace deadline and broadcasts. *)
-    if want_catchup then ignore (Catch_up.begin_ t.cu ~now:(Unix.gettimeofday ()));
-    let log_inst =
-      Log.replica ~activation:`On_demand ~retain:cfg.retain ~base:t.apply_next (log_config cfg)
-        ~me
-        ~propose:(fun ~slot -> propose t ~slot)
-        ~on_commit:(fun ~slot ~provenance v -> on_commit t ~slot ~provenance v)
-    in
-    let start () =
+  (* A message for the lanes: everything but log traffic. *)
+  let on_message t ~from m =
+    let self = Pid.equal from t.me in
+    let content msg = content_message t ~from msg in
+    match m with
+    | Log_msg _ -> ()
+    | Fetch (digest, slot) -> content (Content.Fetch (digest, slot))
+    | Batch_payload (digest, batch) -> content (Content.Batch_payload (digest, batch))
+    | Frag_request (digest, mask, slot) -> content (Content.Frag_request (digest, mask, slot))
+    | Frag_payload frag -> content (Content.Frag_payload frag)
+    | Catch_up from_slot when self ->
+      (* Our own control traffic: [-1] is the batcher's stall watchdog
+         ((re-)enter catch-up); otherwise it is the retry timer — while
+         catching up, re-ask from the current frontier (peers committed
+         more since the last round). *)
+      if from_slot < 0 then begin
+        if
+          (not (Catch_up.active t.cu))
+          && (t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
+        then begin_catchup t
+      end
+      else if Catch_up.active t.cu then begin
+        check_catchup_done t;
+        if Catch_up.active t.cu then begin
+          List.iter
+            (fun peer -> push_action t (Protocol.Send (peer, Catch_up t.apply_next)))
+            (peers t);
+          push_action t
+            (Protocol.Set_timer { delay = t.cfg.catchup_retry; msg = Catch_up from_slot })
+        end
+      end
+    | Catch_up from_slot ->
+      if from_slot >= 0 && from_slot <= t.cfg.slots then serve_catchup t ~from ~from_slot
+    | _ when self -> ()
+    | Truncated snap_slot ->
+      (* A peer retired the history we were fetching: switch to snapshot
+         transfer. Only honoured while actually stuck (an unresolved fetch
+         or an ongoing catch-up) — a lying peer cannot put an idle replica
+         into the catch-up gate. *)
+      if snap_slot > t.apply_next && (Catch_up.active t.cu || Content.fetching t.content)
+      then begin
+        begin_catchup t;
+        emit t (Content.snapshot_fetch t.content ~frontier:t.apply_next)
+      end
+    | Slot_commit { slot; digest; provenance; batch } ->
+      record_slot_vote t ~from ~slot ~digest ~provenance ~batch
+    | Catch_up_done frontier ->
       if Catch_up.active t.cu then begin
-        Catch_up.restamp t.cu ~now:(Unix.gettimeofday ());
-        broadcast_catchup t
-      end;
-      lift (log_inst.Protocol.start ()) @ drain t
-    in
-    (* Every other message runs [f], pumps the replies it buffered and hands
-       back the actions it queued. *)
-    let handle f =
-      f ();
-      flush_dirty t;
-      drain t
-    in
-    let on_message ~now ~from m =
-      let self = Pid.equal from t.me in
-      let content msg = handle (fun () -> content_message t ~from msg) in
-      match m with
-      | Log_msg lm -> lift (log_inst.Protocol.on_message ~now ~from lm) @ drain t
-      | Fetch (digest, slot) -> content (Content.Fetch (digest, slot))
-      | Batch_payload (digest, batch) -> content (Content.Batch_payload (digest, batch))
-      | Frag_request (digest, mask, slot) -> content (Content.Frag_request (digest, mask, slot))
-      | Frag_payload frag -> content (Content.Frag_payload frag)
-      | Catch_up from_slot when self ->
-        (* Our own control traffic: [-1] is the batcher's stall watchdog
-           ((re-)enter catch-up); otherwise it is the retry timer — while
-           catching up, re-ask from the current frontier (peers committed
-           more since the last round). *)
-        handle (fun () ->
-            if from_slot < 0 then begin
-              if
-                (not (Catch_up.active t.cu))
-                && (t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
-              then begin_catchup t
-            end
-            else if Catch_up.active t.cu then begin
-              check_catchup_done t;
-              if Catch_up.active t.cu then begin
-                List.iter
-                  (fun peer -> push_action t (Protocol.Send (peer, Catch_up t.apply_next)))
-                  (peers t);
-                push_action t
-                  (Protocol.Set_timer { delay = t.cfg.catchup_retry; msg = Catch_up from_slot })
-              end
-            end)
-      | Catch_up from_slot ->
-        handle (fun () ->
-            if from_slot >= 0 && from_slot <= t.cfg.slots then
-              serve_catchup t ~from ~from_slot)
-      | _ when self -> []
-      | Truncated snap_slot ->
-        (* A peer retired the history we were fetching: switch to snapshot
-           transfer. Only honoured while actually stuck (an unresolved fetch
-           or an ongoing catch-up) — a lying peer cannot put an idle replica
-           into the catch-up gate. *)
-        handle (fun () ->
-            if snap_slot > t.apply_next && (Catch_up.active t.cu || Content.fetching t.content)
-            then begin
-              begin_catchup t;
-              emit t (Content.snapshot_fetch t.content ~frontier:t.apply_next)
-            end)
-      | Slot_commit { slot; digest; provenance; batch } ->
-        handle (fun () -> record_slot_vote t ~from ~slot ~digest ~provenance ~batch)
-      | Catch_up_done frontier ->
-        handle (fun () ->
-            if Catch_up.active t.cu then begin
-              Catch_up.note_frontier t.cu ~peer:from frontier;
-              check_catchup_done t
-            end)
-      | Snapshot_fetch from_slot -> serve_snapshot t ~from ~from_slot ~whole:false
-      | Snapshot_fetch_full from_slot -> serve_snapshot t ~from ~from_slot ~whole:true
-      | Snapshot_payload (slot, payload) ->
-        handle (fun () -> record_snap_vote t ~from ~slot payload)
-      | Snapshot_frag { slot; frag } ->
-        handle (fun () ->
-            match
-              Content.snapshot_frag t.content t.cu ~from ~frontier:t.apply_next ~slot
-                ~validate:valid_snapshot frag
-            with
-            | Some (slot, payload) -> install_snapshot t ~slot payload
-            | None -> ())
-    in
-    (t, { Protocol.start; on_message })
+        Catch_up.note_frontier t.cu ~peer:from frontier;
+        check_catchup_done t
+      end
+    | Snapshot_fetch from_slot -> serve_snapshot t ~from ~from_slot ~whole:false
+    | Snapshot_fetch_full from_slot -> serve_snapshot t ~from ~from_slot ~whole:true
+    | Snapshot_payload (slot, payload) -> record_snap_vote t ~from ~slot payload
+    | Snapshot_frag { slot; frag } -> (
+      match
+        Content.snapshot_frag t.content t.cu ~from ~frontier:t.apply_next ~slot
+          ~validate:valid_snapshot frag
+      with
+      | Some (slot, payload) -> install_snapshot t ~slot payload
+      | None -> ())
 
-  (* --------------------------- service hooks ----------------------------- *)
-
-  let handle_request t ~conn (r : Wire.request) =
-    Hashtbl.replace t.conns r.Wire.client conn;
-    (match Hashtbl.find_opt t.sessions r.Wire.client with
+  let on_request t (r : Wire.request) =
+    match Hashtbl.find_opt t.sessions r.Wire.client with
     | Some (last, cached, cached_lsn) when r.Wire.rid <= last ->
       (* Idempotent retry: answer from the session cache (stale rids below
          the cached one get nothing — the client has long moved on). The
@@ -993,7 +821,7 @@ module Make (L : PL.LANE) = struct
         reply t ~client:r.Wire.client ~rid:r.Wire.rid Wire.Busy
       end
       else begin
-        match Admission.admit t.admission ~now:(Unix.gettimeofday ()) r with
+        match Admission.admit t.admission ~now:t.now r with
         | Admission.Admitted ->
           (* Event-driven cut: fire when this request turns settle-eligible
              instead of waiting for the next periodic tick. *)
@@ -1002,25 +830,108 @@ module Make (L : PL.LANE) = struct
         | Admission.Overflow ->
           Registry.incr t.c_busy;
           reply t ~client:r.Wire.client ~rid:r.Wire.rid Wire.Busy
-      end);
-    flush_dirty t
+      end
 
   (* The fsyncs of a snapshot install (tmp write + rename + dir sync + WAL
-     truncation) run here, off the apply path; capture happened at the slot
-     boundary. *)
+     truncation) run on the tick, off the apply path; capture happened at
+     the slot boundary. *)
   let install_pending_snapshot t =
     match Durability_lane.take_capture t.lane with
     | Some (slot, payload, covering_lsn) ->
       Durability_lane.install_capture t.lane ~slot ~payload ~covering_lsn
     | None -> ()
 
+  (* Log traffic goes to the log instance, whose actions come before what
+     its callbacks queued. *)
+  let step t ~now event =
+    t.now <- now;
+    let actions =
+      match event with
+      | Start ->
+        if Catch_up.active t.cu then begin
+          Catch_up.restamp t.cu ~now;
+          broadcast_catchup t
+        end;
+        lift (t.log.Protocol.start ())
+      | Message (from, Log_msg m) -> lift (t.log.Protocol.on_message ~now ~from m)
+      | Message (from, m) -> on_message t ~from m; []
+      | Request r -> on_request t r; []
+      | Tick -> install_pending_snapshot t; batcher_tick t; []
+      | Cut -> t.cut_armed <- false; batcher_tick t; []
+      | Durable watermark -> on_durable t watermark; []
+    in
+    actions @ drain t
+
+  (* ----------------------------- the replica ----------------------------- *)
+
+  let create ?catchup cfg ~me ~now =
+    let metrics = Registry.create () in
+    let lane, recovered =
+      Durability_lane.create ?dir:(replica_dir cfg me) ~segment_bytes:cfg.wal_segment_bytes
+        ~metrics ()
+    in
+    let t =
+      {
+        cfg;
+        me;
+        admission = Admission.create ~cap:cfg.queue_cap;
+        lane;
+        cu = Catch_up.create ~n:cfg.n ~t:cfg.t ~cap:cfg.catchup_cap ~grace:cfg.catchup_grace;
+        content =
+          Content.create ~metrics ~mode:cfg.dissemination ~n:cfg.n ~t:cfg.t ~me
+            ~retry:cfg.fetch_retry ~retain:cfg.retain;
+        sessions = Hashtbl.create 64;
+        commit_buf = Hashtbl.create 64;
+        log = { Protocol.start = (fun () -> []); on_message = (fun ~now:_ ~from:_ _ -> []) };
+        effects = [];
+        now;
+        state = State_machine.create ();
+        commit_log = [];
+        commit_log_len = 0;
+        commit_log_floor = 0;
+        apply_next = 0;
+        next_slot = 0;
+        last_progress = now;
+        last_watchdog = now;
+        metrics;
+        c_committed = Registry.counter metrics "service/committed_slots";
+        c_empty = Registry.counter metrics "service/empty_slots";
+        c_provenance =
+          List.map
+            (fun p ->
+              (p, Registry.counter metrics ("service/" ^ PL.metric_of_provenance p)))
+            PL.all_provenances;
+        c_applied = Registry.counter metrics "service/applied";
+        c_suppressed = Registry.counter metrics "service/suppressed_duplicates";
+        c_busy = Registry.counter metrics "service/busy_rejections";
+        c_recovered = Registry.counter metrics "service/recovered_slots";
+        c_catchup_installed = Registry.counter metrics "service/catchup_installed";
+        c_state_transfers = Registry.counter metrics "service/state_transfers";
+        cut_armed = false;
+        cut_margin = 0.0001;
+      }
+    in
+    Registry.gauge_fn metrics "service/backlog" (fun () -> Admission.size t.admission);
+    Registry.gauge_fn metrics "service/apply_lag" (fun () -> Hashtbl.length t.commit_buf);
+    replay t recovered;
+    let want_catchup =
+      match catchup with Some c -> c | None -> recovered.Durability_lane.had_state
+    in
+    (* Arm the gate immediately — traffic arriving before [Start] must see
+       it up; [Start] restamps the grace deadline and broadcasts. *)
+    if want_catchup then ignore (Catch_up.begin_ t.cu ~now);
+    t.log <-
+      Log.replica ~activation:`On_demand ~retain:cfg.retain ~base:t.apply_next (log_config cfg)
+        ~me
+        ~propose:(fun ~slot -> propose t ~slot)
+        ~on_commit:(fun ~slot ~provenance v -> on_commit t ~slot ~provenance v);
+    t
+
   (* ------------------------------ observation ----------------------------- *)
 
-  (* Getters for other threads: each reads on the service loop. *)
-  let on_loop t f = Reactor.call t.service_reactor f
+  let lane t = t.lane
 
   let stats t =
-    on_loop t @@ fun () ->
     {
       committed_slots = Registry.value t.c_committed;
       empty_slots = Registry.value t.c_empty;
@@ -1045,15 +956,15 @@ module Make (L : PL.LANE) = struct
 
   let durable_lsn t = Durability_lane.durable_lsn t.lane
 
-  let catching_up t = on_loop t (fun () -> Catch_up.active t.cu)
+  let catching_up t = Catch_up.active t.cu
 
-  let apply_frontier t = on_loop t (fun () -> t.apply_next)
+  let apply_frontier t = t.apply_next
 
-  let commit_log t = on_loop t (fun () -> List.rev t.commit_log)
+  let commit_log t = List.rev t.commit_log
 
-  let state_snapshot t = on_loop t (fun () -> State_machine.snapshot t.state)
+  let state_snapshot t = State_machine.snapshot t.state
 
-  let state_digest t = on_loop t (fun () -> State_machine.digest t.state)
+  let state_digest t = State_machine.digest t.state
 
   let pp_stats ppf (s : stats) =
     Format.fprintf ppf

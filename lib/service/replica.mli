@@ -1,24 +1,29 @@
-(** The replica core: consensus callbacks, apply loop, catch-up driver and
-    request admission, assembled from the pipeline stages ({!Admission},
-    {!Batcher}, {!Durability_lane}, {!Catch_up}, {!Content}).
+(** The replica as a state machine: one {!step} per event, effects out.
 
-    This module owns everything about a replica that does not touch a
-    socket: {!Server} layers the TCP service (listener, client connections,
-    the batch timer) and deployment helpers on top. A replica runs on one
-    thread, its service loop ([service_reactor]): {!Dex_runtime.Cluster}
-    runs the consensus callbacks there, beside client I/O, batch cuts and
-    WAL group commit, so no state here needs a lock. Other threads read it
-    through the observation getters below, which run on that loop
-    ({!Dex_runtime.Reactor.call}).
+    The paper (§2.1) models a process as a deterministic automaton that
+    takes one step per received message. A replica is the same, one layer
+    up: {!step} takes the clock reading and one {!event} — the start, a peer
+    message, a client request, a batcher tick, the one-shot cut firing, or
+    a WAL durable watermark — and returns the {!effect}s the shell must
+    carry out: protocol actions (sends and timers), client replies, arming
+    the cut, and the self-addressed sends that must cross the transport.
+    The clock comes in with each event and every effect goes out to the
+    shell, so a test can drive a whole group with an in-memory queue and a
+    fake clock, and {!Server} is the one shell that runs it live.
+
+    Inside, the step runs the pipeline stages ({!Admission}, {!Batcher},
+    {!Durability_lane}, {!Catch_up}, {!Content}) around a
+    {!Dex_smr.Replicated_log}: consensus callbacks, the apply loop, the
+    catch-up driver and request admission. The one I/O left inside is the
+    WAL's, through {!Durability_lane} (appends on apply, snapshot installs
+    on the tick).
 
     Every replica carries its own {!Dex_metrics.Registry} ({!metrics}):
     the [service/*] counters and gauges below, the [wal/*] family from its
-    WAL, and [durability/snapshots]. Transport-level [net/*] counters live
-    in the deployment-wide registry owned by {!Server.launch}. *)
+    WAL, and [durability/snapshots]. *)
 
 open Dex_condition
 open Dex_net
-open Dex_runtime
 
 module Make (L : Dex_core.Protocol_lane.LANE) : sig
   module Log : module type of Dex_smr.Replicated_log.Make (L)
@@ -55,8 +60,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
             [Snapshot_payload] — the coded lane's alignment fallback *)
 
   val smsg_codec : smsg Dex_codec.Codec.t
-
-  val pp_smsg : Format.formatter -> smsg -> unit
 
   type config = {
     n : int;
@@ -117,14 +120,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   val log_config : config -> Log.config
 
-  val replica_dir : config -> Pid.t -> string option
-  (** Each replica's durable state lives in [<data_dir>/replica-<me>]. *)
-
-  val snap_payload_codec : ((string * int) list * Wire.reply list) Dex_codec.Codec.t
-  (** Snapshot payload: state-machine snapshot + session table, both sorted,
-      so correct replicas snapshotting at the same slot produce
-      byte-identical payloads. *)
-
   (** Counter snapshot for quick inspection; the same numbers (and more)
       are available through {!metrics}. *)
   type stats = {
@@ -145,102 +140,46 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     snapshots : int;  (** snapshots installed locally *)
   }
 
-  (** Transparent so the {!Server} socket layer can drive the service
-      fields; everything consensus-side is reached through the functions
-      below. Every field is owned by the service loop: touch it only from
-      a callback running there. *)
-  type t = {
-    cfg : config;
-    me : Pid.t;
-    transport : smsg Transport.t;
-    admission : Admission.t;
-    lane : Durability_lane.t;
-    cu : Catch_up.t;
-    content : Content.t;
-        (** batch content by digest and the fetch lane for what we miss;
-            observe it through the [service/fetch*] and [erasure/*]
-            counters in {!metrics} *)
-    sessions : (int, int * Wire.outcome * int) Hashtbl.t;
-    conns : (int, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
-    dirty : (Unix.file_descr, Dex_runtime.Reactor.Conn.t) Hashtbl.t;
-    commit_buf : (int, int * Dex_core.Dex.provenance) Hashtbl.t;
-    outbox : smsg Protocol.action list ref;
-    mutable state : State_machine.t;
-    mutable commit_log : (int * int * Dex_core.Dex.provenance) list;
-    mutable commit_log_len : int;
-    mutable commit_log_floor : int;
-    mutable apply_next : int;
-    mutable next_slot : int;
-    mutable last_progress : float;
-    mutable last_watchdog : float;
-    metrics : Dex_metrics.Registry.t;
-    c_committed : Dex_metrics.Registry.counter;
-    c_empty : Dex_metrics.Registry.counter;
-    c_provenance : (Dex_core.Protocol_lane.provenance * Dex_metrics.Registry.counter) list;
-    c_applied : Dex_metrics.Registry.counter;
-    c_suppressed : Dex_metrics.Registry.counter;
-    c_busy : Dex_metrics.Registry.counter;
-    c_recovered : Dex_metrics.Registry.counter;
-    c_catchup_installed : Dex_metrics.Registry.counter;
-    c_state_transfers : Dex_metrics.Registry.counter;
-    mutable running : bool;
-    mutable listener : Unix.file_descr option;
-    mutable service_port : int option;
-    service_reactor : Dex_runtime.Reactor.t;
-        (** the replica's event loop and only thread: consensus, client
-            I/O, batch cuts, WAL group commit *)
-    owns_reactor : bool;
-        (** whether the replica created [service_reactor] (private loop, the
-            server stops it) or borrowed a shared one (its owner stops it) *)
-    mutable client_conns : Dex_runtime.Reactor.Conn.t list;
-    mutable batch_timer : Dex_runtime.Reactor.timer option;
-    mutable cut_armed : bool;
-    mutable cut_timer : Dex_runtime.Reactor.timer option;
-        (** the outstanding one-shot cut timer, cancelled on stop so a
-            crashed incarnation's cut cannot fire into its successor *)
-    mutable cut_margin : float;
-        (** adaptive extra delay on the one-shot cut timer: widened on
-            underlying-provenance commits (divergent cuts), decayed on
-            one-step commits; bounded [0.1 ms, 2 ms] *)
-    g_client_hwm : Dex_metrics.Registry.gauge;
-  }
+  type t
 
-  val replica :
-    ?catchup:bool ->
-    ?service_reactor:Dex_runtime.Reactor.t ->
-    config ->
-    me:Pid.t ->
-    transport:smsg Transport.t ->
-    t * smsg Protocol.instance
-  (** Build the replica core: recovers durable state (when [data_dir] is
-      set), starts the group-commit syncer, and arms the catch-up gate when
-      [catchup] is true (default: whenever recovery found prior state).
-      [service_reactor] runs this replica on a shared,
-      borrowed loop instead of a private one — sharded deployments use it to
-      keep the loop count bounded by replica index, not shard count. The
-      returned handlers plug into {!Dex_runtime.Cluster}, which must run
-      them on [service_reactor]. *)
+  type event =
+    | Start  (** the process begins: the log starts, catch-up broadcasts *)
+    | Message of Pid.t * smsg
+        (** a message from a peer, or from ourselves (a timer, a self-send) *)
+    | Request of Wire.request  (** a client request *)
+    | Tick  (** the batcher cadence ([batch_delay]) *)
+    | Cut  (** the one-shot cut armed by {!Arm_cut} fired *)
+    | Durable of int  (** the WAL group commit made everything up to this lsn durable *)
 
-  val handle_request : t -> conn:Dex_runtime.Reactor.Conn.t -> Wire.request -> unit
-  (** A client request arrived on [conn]: session-cache retry, Busy while
-      catching up or over the admission cap, else admitted for batching
-      (which arms the one-shot batch cut once the service is running). *)
+  type effect =
+    | Act of smsg Protocol.action  (** a protocol send or timer *)
+    | Reply of Wire.reply  (** an answer for the client that sent the request *)
+    | Arm_cut of float
+        (** feed {!Cut} after this delay; at most one is outstanding (the
+            replica arms no other until the {!Cut} arrives) *)
+    | Via_transport of Pid.t * smsg
+        (** a send that must cross the transport and its fault plan even
+            though it is addressed to ourselves: the batcher's release and
+            its stall watchdog ([Catch_up (-1)]). Liveness under loss
+            depends on this hop today (ROADMAP items 1(c) and 11(c)). *)
 
-  val batcher_tick : t -> unit
-  (** One batcher tick: cut/fire decision via {!Batcher.tick}, store GC, and
-      the stall watchdog. Called every [batch_delay] by the server's batch
-      timer, and by the one-shot cut. *)
+  val create : ?catchup:bool -> config -> me:Pid.t -> now:float -> t
+  (** Build the replica: recovers durable state from
+      [<data_dir>/replica-<me>] (when [data_dir] is set) and arms the
+      catch-up gate when [catchup] is true (default: whenever recovery
+      found prior state). Nothing is sent until {!Start}. *)
 
-  val install_pending_snapshot : t -> unit
-  (** Persist the outstanding snapshot capture, if any (the fsyncs run on
-      the calling thread — the service loop — off the apply path). *)
+  val step : t -> now:float -> event -> effect list
+  (** Take one step at clock reading [now] (seconds; only differences
+      matter). The effects come in emission order; for a {!Message}, the
+      log instance's own actions come first. Only {!Start} and {!Message}
+      yield {!Act}: the other events touch no protocol instance. *)
 
-  (** {2 Observation}
+  val lane : t -> Durability_lane.t
+  (** The WAL lane, for the shell to run its group-commit syncer (which
+      feeds {!Durable}) and to stop or crash it. *)
 
-      Safe from any thread. [stats], [catching_up], [apply_frontier],
-      [commit_log], [state_snapshot] and [state_digest] read on the service
-      loop ({!Dex_runtime.Reactor.call}), or directly once that loop has
-      stopped — so they also answer for a crashed replica. *)
+  (** {2 Observation} Direct reads: call them between steps. *)
 
   val stats : t -> stats
 

@@ -6,19 +6,113 @@ module Registry = Dex_metrics.Registry
 type role = Correct | Mute | Equivocator | Churn
 
 module Make (L : Dex_core.Protocol_lane.LANE) = struct
-  (* The replica core — consensus callbacks, apply loop, catch-up,
-     admission — assembled from the pipeline stages. This module adds the
-     parts that touch sockets: the client listener, the batch timer, and
-     deployment orchestration. *)
-  include Replica.Make (L)
+  (* The replica is a state machine with no I/O; this module is its shell. *)
+  module R = Replica.Make (L)
+  include R
+
+  (* ----------------------------- the shell ------------------------------ *)
+
+  type t = {
+    replica : R.t;
+    me : Pid.t;
+    cfg : config;
+    transport : smsg Transport.t;
+    loop : Reactor.t;  (* the replica's only thread: consensus, clients, timers, WAL syncer *)
+    owns_loop : bool;  (* created here (we stop it), or borrowed from the deployment *)
+    conns : (int, Reactor.Conn.t) Hashtbl.t;  (* client -> latest reply connection *)
+    dirty : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
+        (* connections with unpumped replies, pumped once per step: one
+           coalesced [write] instead of a reactor loop turn *)
+    mutable client_conns : Reactor.Conn.t list;
+    mutable running : bool;
+    mutable listener : Unix.file_descr option;
+    mutable batch_timer : Reactor.timer option;
+    (* The outstanding one-shot cut timer, so [stop_service] can cancel it:
+       the loop may outlive this replica incarnation (crash/restart under a
+       shared loop), and an orphaned cut must not step a dead — or worse,
+       restarted — instance. *)
+    mutable cut_timer : Reactor.timer option;
+    g_client_hwm : Registry.gauge;  (* high-water mark of client write buffers (bytes) *)
+  }
+
+  (* [conns] holds the most recent connection a client spoke on. A dead
+     client costs a silent drop. *)
+  let send_reply t (r : Wire.reply) =
+    match Hashtbl.find_opt t.conns r.Wire.client with
+    | None -> ()
+    | Some c ->
+      if Reactor.Conn.is_open c then begin
+        Reactor.Conn.buffer c (Dex_codec.Codec.Frame.to_string Wire.reply_codec r);
+        Hashtbl.replace t.dirty (Reactor.Conn.fd c) c
+      end
+      else Hashtbl.remove t.conns r.Wire.client
+
+  (* One step of the replica, at the wall clock, with its effects carried
+     out on the loop: replies buffered and pumped once, the cut armed, the
+     release hop sent over the transport. Returns the protocol actions. *)
+  let rec run t event =
+    let actions =
+      List.filter_map
+        (function
+          | Act a -> Some a
+          | Reply r ->
+            send_reply t r;
+            None
+          | Arm_cut delay ->
+            t.cut_timer <-
+              Some
+                (Reactor.after t.loop delay (fun () ->
+                     t.cut_timer <- None;
+                     if t.running then feed t Cut));
+            None
+          | Via_transport (dst, m) ->
+            t.transport.Transport.send ~src:t.me ~dst m;
+            None)
+        (R.step t.replica ~now:(Unix.gettimeofday ()) event)
+    in
+    Hashtbl.iter (fun _ c -> Reactor.Conn.pump c) t.dirty;
+    Hashtbl.reset t.dirty;
+    actions
+
+  (* The events the shell raises itself touch no protocol instance, so
+     they yield no protocol action ({!Replica.Make.step}). *)
+  and feed t event = assert (run t event = [])
+
+  (* What [Cluster] runs on the loop: every callback is one step. *)
+  let instance t =
+    { Protocol.start = (fun () -> run t Start);
+      on_message = (fun ~now:_ ~from m -> run t (Message (from, m))) }
+
+  (* A replica and its shell. By default it owns a private loop (whose
+     [reactor/*] gauges land in the replica's registry); a sharded
+     deployment passes [service_reactor] to share loops across co-located
+     replicas — borrowed, never stopped here. *)
+  let replica ?catchup ?service_reactor cfg ~me ~transport =
+    let r = R.create ?catchup cfg ~me ~now:(Unix.gettimeofday ()) in
+    let metrics = R.metrics r in
+    let owns_loop, loop =
+      match service_reactor with
+      | Some l -> (false, l)
+      | None -> (true, Reactor.create ~metrics ~name:(Printf.sprintf "replica-%d" me) ())
+    in
+    let t =
+      { replica = r; me; cfg; transport; loop; owns_loop; conns = Hashtbl.create 64;
+        dirty = Hashtbl.create 8; client_conns = []; running = false;
+        listener = None; batch_timer = None; cut_timer = None;
+        g_client_hwm = Registry.gauge metrics "service/client_wbuf_hwm" }
+    in
+    if cfg.group_commit then
+      Durability_lane.start_group_commit ~reactor:loop (R.lane r) ~delay:cfg.sync_delay
+        ~cap:cfg.sync_cap ~on_durable:(fun watermark -> feed t (Durable watermark));
+    (t, instance t)
 
   (* ----------------------------- the service ----------------------------- *)
 
   let conn_closed t conn = t.client_conns <- List.filter (fun c -> c != conn) t.client_conns
 
   (* Accepted client connection: incremental request reassembly straight
-     into [handle_request], replies through the connection's coalescing
-     write queue. A malformed frame raises out of [feed], and the reactor
+     into [Request] steps, replies through the connection's coalescing
+     write queue. A malformed frame raises out of [Reader.feed], and the reactor
      tears down exactly this client. *)
   let attach_client t sock =
     (try Unix.setsockopt sock Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -28,10 +122,15 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       let reqs = Dex_codec.Codec.Frame.Reader.feed reader buf len in
       match !cell with
       | None -> ()
-      | Some c -> List.iter (fun req -> handle_request t ~conn:c req) reqs
+      | Some c ->
+        List.iter
+          (fun (req : Wire.request) ->
+            Hashtbl.replace t.conns req.Wire.client c;
+            feed t (Request req))
+          reqs
     in
     let on_close () = match !cell with Some c -> conn_closed t c | None -> () in
-    match Reactor.Conn.attach t.service_reactor sock ~on_bytes ~on_close with
+    match Reactor.Conn.attach t.loop sock ~on_bytes ~on_close with
     | c ->
       cell := Some c;
       t.client_conns <- c :: t.client_conns
@@ -51,16 +150,13 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     loop ()
 
   let reactor_tick t =
-    install_pending_snapshot t;
-    batcher_tick t;
-    List.iter
-      (fun c -> Dex_metrics.Registry.set_max t.g_client_hwm (Reactor.Conn.hwm c))
-      t.client_conns
+    feed t Tick;
+    List.iter (fun c -> Registry.set_max t.g_client_hwm (Reactor.Conn.hwm c)) t.client_conns
 
   (* --- lifecycle --- *)
 
   let start_service ?(port = 0) t =
-    Reactor.call t.service_reactor @@ fun () ->
+    Reactor.call t.loop @@ fun () ->
     if t.running then invalid_arg "Server.start_service: already running";
     t.running <- true;
     let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -73,26 +169,22 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       | _ -> assert false
     in
     t.listener <- Some sock;
-    t.service_port <- Some bound;
-    let r = t.service_reactor in
+    let r = t.loop in
     Unix.set_nonblock sock;
     t.batch_timer <- Some (Reactor.every r t.cfg.batch_delay (fun () -> reactor_tick t));
     Reactor.on_readable r sock (accept_ready t sock);
     bound
 
-  let service_port t = t.service_port
-
-  (* Runs on the service loop: cancel the service timers, close the
+  (* Runs on the replica's loop: cancel the service timers, close the
      listener and every client connection. *)
   let stop_service t =
-    let r = t.service_reactor in
+    let r = t.loop in
     if t.running then begin
       t.running <- false;
       Option.iter (Reactor.cancel r) t.batch_timer;
       t.batch_timer <- None;
       Option.iter (Reactor.cancel r) t.cut_timer;
       t.cut_timer <- None;
-      t.cut_armed <- false;
       (match t.listener with
       | Some sock ->
         Reactor.remove r sock;
@@ -110,14 +202,38 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
      [replica] on, so it is stopped even if the service was never started;
      a borrowed (shared-runtime) loop is left running for its owner. *)
   let teardown t close_wal =
-    Reactor.call t.service_reactor (fun () ->
+    Reactor.call t.loop (fun () ->
         stop_service t;
-        close_wal t.lane);
-    if t.owns_reactor then Reactor.stop t.service_reactor
+        close_wal (R.lane t.replica));
+    if t.owns_loop then Reactor.stop t.loop
 
   let stop t = teardown t Durability_lane.stop
 
   let crash t = teardown t Durability_lane.crash
+
+  (* ------------------------------ observation ----------------------------- *)
+
+  (* Getters for other threads: each reads on the replica's loop (or
+     directly once that loop has stopped). *)
+  let on_loop t f = Reactor.call t.loop (fun () -> f t.replica)
+
+  let stats t = on_loop t R.stats
+
+  let catching_up t = on_loop t R.catching_up
+
+  let apply_frontier t = on_loop t R.apply_frontier
+
+  let commit_log t = on_loop t R.commit_log
+
+  let state_snapshot t = on_loop t R.state_snapshot
+
+  let state_digest t = on_loop t R.state_digest
+
+  let metrics t = R.metrics t.replica
+
+  let wal_stats t = R.wal_stats t.replica
+
+  let durable_lsn t = R.durable_lsn t.replica
 
   (* ------------------------- Byzantine behaviours ------------------------- *)
 
@@ -297,7 +413,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     in
     let cluster =
       Cluster.create ~transport ~n:cfg.n ~extra ?reactor:net_reactor
-        ~loop_for:(fun p -> Option.map (fun s -> s.service_reactor) (List.assoc_opt p !servers))
+        ~loop_for:(fun p -> Option.map (fun s -> s.loop) (List.assoc_opt p !servers))
         make
     in
     let servers = List.rev !servers in
@@ -341,7 +457,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         ?service_reactor:(Option.map (fun f -> f pid) d.service_loop_for)
         d.dcfg ~me:pid ~transport:d.transport
     in
-    Cluster.start_node d.cluster pid ~loop:t.service_reactor inst;
+    Cluster.start_node d.cluster pid ~loop:t.loop inst;
     let port = List.assoc pid d.ports in
     ignore (start_service ~port t);
     d.servers <- d.servers @ [ (pid, t) ];

@@ -1,13 +1,18 @@
 (** The replicated service: client requests in, state-machine replies out.
 
-    Each replica couples the staged pipeline assembled in {!Replica} —
-    admission ({!Admission}), batching ({!Batcher}), the consensus-side
-    apply loop, the persist-before-reply durability lane
-    ({!Durability_lane}) and the Byzantine-tolerant catch-up lane
-    ({!Catch_up}) — with the socket layer this module owns: the
-    client-facing TCP listener, event-driven client connections, and the
-    batch timer driving slot release, snapshot installs and the stall
-    watchdog, all on the replica's {!Dex_runtime.Reactor}.
+    [Server] is the only shell around a {!Replica}, a state machine with no
+    I/O of its own. For each replica it owns one {!Dex_runtime.Reactor}
+    loop (private, or borrowed from a shared runtime) and, on it: the
+    client listener and connections (the client-to-connection map replies
+    go to, and the connections to pump), the batch timer
+    ({!Replica.Make.Tick}), the one-shot cut timer ({!Replica.Make.Arm_cut},
+    {!Replica.Make.Cut}) and the WAL group-commit syncer
+    ({!Replica.Make.Durable}). It reads the wall clock once per event,
+    steps the replica, and carries out the effects on that loop: replies
+    are buffered and pumped once per step, the release hop
+    ({!Replica.Make.Via_transport}) goes through the transport, and
+    protocol actions go to {!Dex_runtime.Cluster}, which runs each replica
+    as a {!Dex_net.Protocol.instance} wrapping the step.
 
     The full pipeline contract (one-step batching, fetch lane, [t+1]
     catch-up votes, snapshot transfer, external-validity caveat) is
@@ -31,31 +36,39 @@ type role =
           own sends), so agreement checks include it. *)
 
 module Make (L : Dex_core.Protocol_lane.LANE) : sig
-  (** Everything consensus-side: [smsg] (+ codec), [config], the replica
-      constructor, request handling, stats and the per-replica metrics
-      registry. See {!Replica.Make}. *)
-  include module type of Replica.Make (L)
+  (** Everything consensus-side: [smsg] (+ codec), [config], [stats], and
+      the replica state machine itself ({!Replica.Make}). *)
+  include module type of Replica.Make (L) with type t := Replica.Make(L).t
 
-  val start_service : ?port:int -> t -> int
-  (** Bind the client-facing listener on loopback ([port = 0] picks an
-      ephemeral port — the return value is the bound port) and start the
-      service machinery on the replica's reactor: a nonblocking listener,
-      per-connection event-driven framing and the batcher cadence as a
-      timer (the same loop runs the replica's consensus and the one-shot
-      settle cut).
-      @raise Invalid_argument if already running. *)
+  type t
+  (** A replica in its shell: the state machine plus its loop, listener,
+      client connections, timers and WAL syncer. {!launch} builds them;
+      {!kill_replica} and {!restart_replica} cycle one. *)
 
-  val service_port : t -> int option
+  (** {2 Observation}
 
-  val stop : t -> unit
-  (** Clean stop: service timers cancelled, client connections closed, then
-      a final WAL sync and close. Idempotent. Does not touch the consensus
-      side — shut the cluster down separately. *)
+      Safe from any thread: [stats], [catching_up], [apply_frontier],
+      [commit_log], [state_snapshot] and [state_digest] read on the
+      replica's loop, or directly once it has stopped (a crashed replica).
+      See {!Replica.Make} for what each returns. *)
 
-  val crash : t -> unit
-  (** Crash-stop: like {!stop} but the WAL is {e abandoned} — no final flush
-      or fsync, exactly what a power cut leaves behind. Pair with a
-      subsequent {!replica} over the same data dir to exercise recovery. *)
+  val stats : t -> stats
+
+  val metrics : t -> Dex_metrics.Registry.t
+
+  val wal_stats : t -> Dex_store.Wal.stats option
+
+  val durable_lsn : t -> int
+
+  val catching_up : t -> bool
+
+  val apply_frontier : t -> int
+
+  val commit_log : t -> (int * int * Dex_core.Dex.provenance) list
+
+  val state_snapshot : t -> (string * int) list
+
+  val state_digest : t -> int
 
   val equivocator : config -> me:Pid.t -> smsg Protocol.instance
   (** A Byzantine replica lifting {!Log.equivocator} to the service layer:
@@ -185,13 +198,15 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   val kill_replica : deployment -> Pid.t -> unit
   (** Crash one correct replica: its consensus stops, its service loop
-      stops (unless shared), its service sockets close, and its WAL is abandoned mid-flight ({!crash}). Its
+      stops (unless shared), its service sockets close, and its WAL is
+      abandoned mid-flight, with no final flush or fsync, as a power cut
+      leaves it. Its
       transport endpoint stays up. The pre-crash commit log is retained for
       {!agreement_violations}.
       @raise Invalid_argument if [pid] is not a live correct replica. *)
 
   val restart_replica : deployment -> Pid.t -> t
-  (** Restart a killed replica: a fresh {!replica} recovers from the same
+  (** Restart a killed replica: a fresh replica recovers from the same
       data dir, rejoins the cluster on the same endpoint and service port,
       and runs peer catch-up before re-admitting clients.
       @raise Invalid_argument if [pid] was not killed, or is running. *)

@@ -31,8 +31,6 @@ let pp_msg ppf = function
 
 let fallback = 0
 
-let timeout_base = ref 8.0
-
 let name = "uc-leader"
 
 (* Byzantine round numbers far beyond the local round are ignored rather
@@ -49,6 +47,7 @@ type t = {
   n : int;
   t : int;
   me : Pid.t;
+  timeout_base : float;
   rb : Value.t Bracha.t;
   delivered : View.t;
   est_senders : (Pid.t, Value.t) Hashtbl.t;  (* first EST per sender *)
@@ -61,12 +60,13 @@ type t = {
   mutable halted_emitting : bool;
 }
 
-let create ~n ~t:fb ~me ~seed:_ =
+let create ~timeout_base ~n ~t:fb ~me =
   if fb < 0 || n <= 4 * fb then invalid_arg "Uc_leader.create: requires n > 4t and t >= 0";
   {
     n;
     t = fb;
     me;
+    timeout_base;
     rb = Bracha.create ~n ~t:fb;
     delivered = View.bottom n;
     est_senders = Hashtbl.create 16;
@@ -89,7 +89,7 @@ let round_state t r =
 
 let proposer t r = r mod t.n
 
-let timeout _t r = !timeout_base *. float_of_int (r + 1)
+let timeout t r = t.timeout_base *. float_of_int (r + 1)
 
 let to_all t m = List.init t.n (fun p -> (p, m))
 
@@ -331,3 +331,13 @@ let codec =
         let p = phase_codec.read rd in
         Wake (r, p)
       | other -> bad_tag ~name:"Uc_leader.msg" other)
+
+module Make (T : sig val timeout_base : float end) = struct
+  type nonrec msg = msg
+  type nonrec t = t
+  let name, propose, on_message, extra_nodes = (name, propose, on_message, extra_nodes)
+  let codec = codec
+  let create ~n ~t ~me ~seed:_ = create ~timeout_base:T.timeout_base ~n ~t ~me
+end
+
+include (Make (struct let timeout_base = 8.0 end) : Uc_intf.S with type msg := msg and type t := t)

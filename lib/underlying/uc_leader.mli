@@ -47,9 +47,12 @@
       bounded) message delays that round decides at every correct process
       from the same broadcast precommits.
 
-    Timers use {!Dex_net.Protocol.Set_timer}; [timeout_base] is in the
-    runner's time units (simulated units in the DES, seconds on the thread
-    runtime — pass a small base there). *)
+    Timers use {!Dex_net.Protocol.Set_timer}. The round-0 timeout
+    [timeout_base] is in the runner's time units, and round [r] waits
+    [timeout_base · (r + 1)] per phase. The module itself is the instance
+    for simulated units ([timeout_base = 8.0]: the bundled disciplines
+    deliver within one unit); a live deployment counts seconds and builds
+    its own with {!Make}. *)
 
 open Dex_vector
 open Dex_broadcast
@@ -67,9 +70,7 @@ val pp_msg : Format.formatter -> msg -> unit
 val fallback : Value.t
 (** Estimate when no proposal reaches support [n − 2t] (0). *)
 
-val timeout_base : float ref
-(** Round-0 timeout; round [r] waits [timeout_base · (r + 1)] per phase.
-    Default 8.0 (the bundled disciplines deliver within one unit). Mutable
-    so the thread runtime can shrink it. *)
+module Make (_ : sig val timeout_base : float end) : Uc_intf.S with type msg = msg
+(** The protocol with round-0 timeout [timeout_base]. *)
 
 include Uc_intf.S with type msg := msg

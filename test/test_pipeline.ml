@@ -3,8 +3,9 @@
    exclusion, cap truncation, oldest re-arming, overdue valve, stall
    watchdog), the durability lane's persist-before-reply gate and snapshot
    cadence, the catch-up stage's [t+1] vote thresholds, and the content
-   stage's full and coded fetch lanes. None of these need a live
-   deployment — they drive the stages directly. *)
+   stage's full and coded fetch lanes; and the replica they make up, driven
+   through [Replica.step] alone. None of these need a live deployment —
+   they drive the stages directly, with no socket, thread or loop. *)
 
 open Dex_service
 module Registry = Dex_metrics.Registry
@@ -475,6 +476,168 @@ let test_content_coded_unsolicited () =
   ignore (deliver r ~from:1 (Content.Frag_payload (frag ~digest:1 1)));
   Alcotest.(check int) "an open pool still fills" (2 + 4095 + 1) (received ())
 
+(* ------------------------------ replica ------------------------------ *)
+
+module R = Replica.Make (Dex_core.Dex.Lane (Dex_underlying.Uc_oracle))
+
+let freq4 = Dex_condition.Pair.freq ~n:4 ~t:0
+
+let cfg4 = R.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 ()
+
+(* The batcher's release and its stall watchdog are self-addressed sends
+   that must cross the transport (and its fault plan): each is a
+   [Via_transport] to the replica itself, never a plain [Act]. *)
+let test_replica_release_hop () =
+  let me = 2 in
+  let r = R.create cfg4 ~me ~now:0.0 in
+  ignore (R.step r ~now:0.0 R.Start);
+  let admitted = R.step r ~now:0.0 (R.Request (req 1)) in
+  Alcotest.(check bool) "an admitted request arms the cut" true
+    (List.exists (function R.Arm_cut _ -> true | _ -> false) admitted);
+  let settled = cfg4.R.settle +. 0.0001 in
+  let release = R.Log_msg (R.Log.release 1) in
+  Alcotest.(check bool) "a tick past settle releases slot 0 over the transport" true
+    (R.step r ~now:settled R.Tick = [ R.Via_transport (me, release) ]);
+  (* The release opens slot 0 (our proposal goes out; no peer answers), so
+     work is outstanding; with no progress past the stall bound the tick is
+     wedged. *)
+  ignore (R.step r ~now:settled (R.Message (me, release)));
+  let stall =
+    Batcher.stall_after ~catchup_retry:cfg4.R.catchup_retry ~batch_delay:cfg4.R.batch_delay
+  in
+  let wedged = R.step r ~now:(settled +. stall +. 0.001) R.Tick in
+  Alcotest.(check bool) "a wedged tick sends Catch_up (-1) over the transport" true
+    (List.mem (R.Via_transport (me, R.Catch_up (-1))) wedged);
+  Alcotest.(check bool) "nothing of the tick is a plain action" true
+    (List.for_all (function R.Via_transport (dst, _) -> dst = me | _ -> false) wedged)
+
+(* A whole n=4 t=0 group driven only through [Replica.step]: an in-memory
+   event queue ordered by a fake clock the test advances, a fixed hop
+   latency, the UC oracle as a plain instance, and closed-loop clients
+   that submit each request to every replica and send the next once all
+   four have answered. *)
+type target =
+  | Step of Dex_net.Pid.t * R.event  (* a replica event *)
+  | Node of Dex_net.Pid.t * Dex_net.Pid.t * R.smsg  (* to an auxiliary node, from *)
+
+module Queue = Map.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
+let test_replica_group_on_fake_clock () =
+  let n = 4 and clients = 4 and hop = 0.0002 and target_slots = 20 in
+  let replicas = Array.init n (fun me -> R.create cfg4 ~me ~now:0.0) in
+  let extra =
+    List.map
+      (fun (pid, inst) ->
+        ( pid,
+          Protocol.embed
+            ~inject:(fun m -> R.Log_msg m)
+            ~project:(function R.Log_msg m -> Some m | _ -> None)
+            inst ))
+      (R.Log.extra (R.log_config cfg4))
+  in
+  let queue = ref Queue.empty and seq = ref 0 in
+  let at time target =
+    incr seq;
+    queue := Queue.add (time, !seq) target !queue
+  in
+  let send ~now ~src dst m =
+    if dst < n then at (now +. hop) (Step (dst, R.Message (src, m)))
+    else at (now +. hop) (Node (dst, src, m))
+  in
+  let actions ~now ~src =
+    List.iter (function
+      | Protocol.Send (dst, m) -> send ~now ~src dst m
+      | Protocol.Set_timer { delay; msg } -> at (now +. delay) (Step (src, R.Message (src, msg)))
+      | Protocol.Decide _ -> ())
+  in
+  (* Applied replies per (replica, client, rid), and per-request answers. *)
+  let applied = Hashtbl.create 256 and answered = Hashtbl.create 64 in
+  let next_rid = Array.make clients 0 and stopped = ref false in
+  let submit ~now client =
+    next_rid.(client) <- next_rid.(client) + 1;
+    let r = { Wire.client; rid = next_rid.(client); command = Sm.Add ("k", 1) } in
+    for p = 0 to n - 1 do
+      at (now +. hop) (Step (p, R.Request r))
+    done
+  in
+  let on_reply ~now me (r : Wire.reply) =
+    match r.Wire.outcome with
+    | Wire.Applied _ ->
+      let key = (me, r.Wire.client, r.Wire.rid) in
+      Hashtbl.replace applied key (1 + Option.value ~default:0 (Hashtbl.find_opt applied key));
+      let k = (r.Wire.client, r.Wire.rid) in
+      let got = 1 + Option.value ~default:0 (Hashtbl.find_opt answered k) in
+      Hashtbl.replace answered k got;
+      if got = n && r.Wire.rid = next_rid.(r.Wire.client) && not !stopped then
+        submit ~now r.Wire.client
+    | Wire.Busy -> Alcotest.fail "no replica is busy in a fault-free group"
+  in
+  let step ~now me event =
+    let effects = R.step replicas.(me) ~now event in
+    (match event with
+    | R.Start | R.Message _ -> ()
+    | _ ->
+      if List.exists (function R.Act _ -> true | _ -> false) effects then
+        Alcotest.fail "only Start and Message yield protocol actions");
+    List.iter
+      (function
+        | R.Act a -> actions ~now ~src:me [ a ]
+        | R.Reply r -> on_reply ~now me r
+        | R.Arm_cut delay -> at (now +. delay) (Step (me, R.Cut))
+        | R.Via_transport (dst, m) -> send ~now ~src:me dst m)
+      effects
+  in
+  List.iter (fun (pid, inst) -> actions ~now:0.0 ~src:pid (inst.Protocol.start ())) extra;
+  for me = 0 to n - 1 do
+    step ~now:0.0 me R.Start;
+    at cfg4.R.batch_delay (Step (me, R.Tick))
+  done;
+  for client = 0 to clients - 1 do
+    submit ~now:0.0 client
+  done;
+  let committed () =
+    Array.fold_left (fun acc r -> min acc (List.length (R.commit_log r))) max_int replicas
+  in
+  let all_answered () =
+    Array.for_all Fun.id
+      (Array.mapi (fun c rid -> Hashtbl.find_opt answered (c, rid) = Some n) next_rid)
+  in
+  let rec run () =
+    match Queue.min_binding_opt !queue with
+    | None -> ()
+    | Some (((now, _) as key), target) ->
+      queue := Queue.remove key !queue;
+      if now > 30.0 then Alcotest.fail "the group did not commit within 30 s of fake time";
+      if committed () >= target_slots then stopped := true;
+      (match target with
+      | Step (me, R.Tick) ->
+        step ~now me R.Tick;
+        at (now +. cfg4.R.batch_delay) (Step (me, R.Tick))
+      | Step (me, event) -> step ~now me event
+      | Node (pid, from, m) ->
+        actions ~now ~src:pid ((List.assoc pid extra).Protocol.on_message ~now ~from m));
+      if not (!stopped && all_answered ()) then run ()
+  in
+  run ();
+  Alcotest.(check bool) "at least 20 slots committed" true (committed () >= target_slots);
+  let log r = List.map (fun (slot, digest, _) -> (slot, digest)) (R.commit_log r) in
+  Array.iter
+    (fun r ->
+      Alcotest.(check (list (pair int int))) "equal commit logs" (log replicas.(0)) (log r);
+      Alcotest.(check int) "equal state digests" (R.state_digest replicas.(0)) (R.state_digest r))
+    replicas;
+  let requests = Array.fold_left ( + ) 0 next_rid in
+  Alcotest.(check int) "every request applied at every replica" (n * requests)
+    (Hashtbl.length applied);
+  Alcotest.(check int) "exactly one Applied reply per request and replica" 0
+    (Hashtbl.fold (fun _ count bad -> if count = 1 then bad else bad + 1) applied 0);
+  Alcotest.(check (list (pair string int))) "the counter holds every request"
+    [ ("k", requests) ] (R.state_snapshot replicas.(0))
+
 let () =
   Alcotest.run "dex_pipeline"
     [
@@ -512,5 +675,12 @@ let () =
           Alcotest.test_case "coded: rounds back off, then one fallback" `Quick
             test_content_coded_backoff;
           Alcotest.test_case "coded: unsolicited bounds" `Quick test_content_coded_unsolicited;
+        ] );
+      ( "replica",
+        [
+          Alcotest.test_case "step: release and watchdog cross the transport" `Quick
+            test_replica_release_hop;
+          Alcotest.test_case "step: n=4 group on a fake clock" `Quick
+            test_replica_group_on_fake_clock;
         ] );
     ]

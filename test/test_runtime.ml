@@ -245,36 +245,30 @@ let test_cluster_decision_wall_times () =
       | None -> ())
     decisions
 
-module Dleader = Dex_core.Dex.Make (Uc_leader)
+(* The leader-based UC's timers run as real sleeps on the loop runtime, so
+   its round timeout is counted in seconds here. *)
+module Dleader = Dex_core.Dex.Make (Uc_leader.Make (struct let timeout_base = 0.25 end))
 
 let test_cluster_leader_uc_on_threads () =
-  (* The leader-based UC's timers run as real sleeps on the thread runtime;
-     shrink the round timeout so the fallback path completes quickly. A
-     pessimistic input forces the UC rounds to actually run. *)
-  let saved = !Uc_leader.timeout_base in
-  Uc_leader.timeout_base := 0.25;
-  Fun.protect
-    ~finally:(fun () -> Uc_leader.timeout_base := saved)
-    (fun () ->
-      let pair = Pair.freq ~n:7 ~t:1 in
-      let cfg = Dleader.config ~pair () in
-      let proposals = [| 5; 5; 5; 5; 1; 1; 1 |] in
-      let pids = Pid.all ~n:7 in
-      let transport = Transport.Mem.create ~jitter:0.001 ~seed:9 ~pids () in
-      let cluster =
-        Cluster.create ~transport ~n:7 (fun p ->
-            Dleader.instance cfg ~me:p ~proposal:proposals.(p))
-      in
-      Cluster.start cluster;
-      let ok = Cluster.await ~timeout:30.0 cluster in
-      let decisions = Cluster.decisions cluster in
-      Cluster.shutdown cluster;
-      Alcotest.(check bool) "all decided" true ok;
-      let values =
-        Array.to_list decisions |> List.filter_map (Option.map (fun d -> d.Cluster.value))
-      in
-      Alcotest.(check int) "seven decisions" 7 (List.length values);
-      Alcotest.(check int) "agreement" 1 (List.length (List.sort_uniq compare values)))
+  (* A pessimistic input forces the UC rounds to actually run. *)
+  let pair = Pair.freq ~n:7 ~t:1 in
+  let cfg = Dleader.config ~pair () in
+  let proposals = [| 5; 5; 5; 5; 1; 1; 1 |] in
+  let pids = Pid.all ~n:7 in
+  let transport = Transport.Mem.create ~jitter:0.001 ~seed:9 ~pids () in
+  let cluster =
+    Cluster.create ~transport ~n:7 (fun p -> Dleader.instance cfg ~me:p ~proposal:proposals.(p))
+  in
+  Cluster.start cluster;
+  let ok = Cluster.await ~timeout:30.0 cluster in
+  let decisions = Cluster.decisions cluster in
+  Cluster.shutdown cluster;
+  Alcotest.(check bool) "all decided" true ok;
+  let values =
+    Array.to_list decisions |> List.filter_map (Option.map (fun d -> d.Cluster.value))
+  in
+  Alcotest.(check int) "seven decisions" 7 (List.length values);
+  Alcotest.(check int) "agreement" 1 (List.length (List.sort_uniq compare values))
 
 (* ----------------------- reactor ----------------------- *)
 
