@@ -249,16 +249,21 @@ module Run (L : PL.LANE) = struct
              Printf.sprintf "%s=%d" name (R.get merged ("service/" ^ name)))
            PL.all_provenances)
     in
+    (* Peer frames handed to connections and the pumps that wrote them:
+       frames per flush is the coalescing of the end-of-turn flush. *)
     Printf.printf
       "[stats] slots=%d applied=%d busy=%d lag=%d%s | %s | %s | net reconn=%d backoff=%d \
-       drop=%d%s%s\n%!"
+       drop=%d frames=%d flushes=%d%s%s\n%!"
       (R.get merged "service/committed_slots")
       (R.get merged "service/applied")
       (R.get merged "service/busy_rejections")
       (max_over "service/apply_lag") shard_part prov_part wal_part
       (R.get merged "net/reconnects")
       (R.get merged "net/backoffs")
-      (R.get merged "net/drops") peer_part reactor_part
+      (R.get merged "net/drops")
+      (R.get merged "net/frames")
+      (R.get merged "net/flushes")
+      peer_part reactor_part
 
   let serve opts =
     let g = launch opts in
@@ -322,6 +327,7 @@ module Run (L : PL.LANE) = struct
     settle g;
     G.shutdown g;
     print_stats g;
+    if opts.stats_every > 0.0 then stats_line g;
     (g, report, !side_err)
 
   let counter_of s = match List.assoc_opt "k" (S.state_snapshot s) with Some v -> v | None -> 0
@@ -736,7 +742,9 @@ let opts_t ?(mute_last = false) ~default_n ~default_t ~default_duration () =
     Arg.(
       value & opt float 0.0
       & info [ "stats" ]
-          ~doc:"Print a one-line service/WAL/link counter report every $(docv) seconds.")
+          ~doc:
+            "Print a one-line service/WAL/link counter report every $(docv) seconds \
+             ($(b,serve)), or once after the run (the gated subcommands).")
   in
   let no_group_commit_t =
     Arg.(

@@ -37,6 +37,10 @@ val stop : t -> unit
 
 val stopped : t -> bool
 
+val on_loop : t -> bool
+(** Whether the calling thread is this reactor's loop thread — how a caller
+    tells that work it hands the loop will run after its own turn. *)
+
 val max_fds : int
 (** The [select] capacity bound (FD_SETSIZE, 1024). *)
 
@@ -81,7 +85,10 @@ val timer_count : t -> int
 
 val post : t -> (unit -> unit) -> unit
 (** Run a closure on the loop thread as soon as possible — the cross-thread
-    entry point (equivalent to [after t 0.0] but cheaper). *)
+    entry point (equivalent to [after t 0.0] but cheaper). Closures run in
+    posting order. A post from the loop thread itself writes no wake pipe:
+    the closure runs on the next loop turn, after that turn's [select]
+    (which then does not sleep) and its ready descriptors. *)
 
 val call : t -> (unit -> 'a) -> 'a
 (** Run a closure on the loop thread and wait for its result (or its

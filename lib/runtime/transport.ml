@@ -334,10 +334,12 @@ module Mem = struct
 end
 
 (* Reactor-driven TCP with typed codec frames: every socket is nonblocking
-   and registered on one shared event loop — no thread per connection, no
-   thread per accept loop. Outbound frames
-   queue on buffered connections that coalesce multiple frames per [write];
-   inbound chunks reassemble through {!Dex_codec.Codec.Frame.Reader}.
+   and registered on an event loop — no thread per connection, no thread
+   per accept loop. Outbound frames queue on buffered connections that
+   coalesce multiple frames per [write]: a frame sent from the loop that
+   owns its connection waits for one flush per connection at the end of
+   that loop turn, a frame sent from any other thread is pumped at once.
+   Inbound chunks reassemble through {!Dex_codec.Codec.Frame.Reader}.
    Reconnects preserve frame boundaries: a dead connection's unsent frames
    (including a partially-written head, resent whole — the peer discards
    the partial tail with the dead connection) are replayed on the fresh
@@ -345,13 +347,17 @@ end
 module Tcp_codec = struct
   type out_pending = {
     mutable queued : string list;  (** newest first *)
+    mutable count : int;  (** [List.length queued], kept so the cap check is O(1) *)
     mutable attempt : int;
     mutable retry : Reactor.timer option;
   }
 
   type out_state = Up of Reactor.Conn.t | Down of out_pending
 
-  type out_link = { mutable state : out_state }
+  type out_link = {
+    mutable state : out_state;
+    mutable flush_posted : bool;  (** an end-of-turn flush is posted on the owning loop *)
+  }
 
   let max_down_queue = 4096
 
@@ -363,12 +369,20 @@ module Tcp_codec = struct
 
   let create ~codec ?metrics ?faults ?(remotes = []) ?on_bind ~reactor ?reactor_for ~pids () =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    (* I/O sharding: [reactor_for pid] is the loop that owns pid's inbound
-       listener and accepted connections (and the outbound connections pid
-       originates), so the read+decode work of n co-located endpoints spreads
-       over several loops instead of serializing on one. Reconnect backoff
-       timers stay on the primary [reactor]. *)
+    (* [reactor_for pid] is the loop that owns pid's inbound listener and
+       accepted connections (and the outbound connections pid originates):
+       a node running on that loop receives without a thread handoff, and
+       its sends flush once per loop turn. Reconnect backoff timers stay on
+       the primary [reactor]. *)
     let reactor_for = match reactor_for with Some f -> f | None -> fun _ -> reactor in
+    let counter name = Option.map (fun r -> Dex_metrics.Registry.counter r name) metrics in
+    (* Frames handed to a connection, and the pumps that carried them out:
+       their ratio is the coalescing the end-of-turn flush buys. *)
+    let m_frames = counter "net/frames" and m_flushes = counter "net/flushes" in
+    let pump c =
+      Option.iter Dex_metrics.Registry.incr m_flushes;
+      Reactor.Conn.pump c
+    in
     let frame_codec = Dex_codec.Codec.pair Dex_codec.Codec.int codec in
     let eps = Hashtbl.create 16 in
     List.iter (fun p -> Hashtbl.replace eps p (Endpoint.create ())) pids;
@@ -416,10 +430,9 @@ module Tcp_codec = struct
       Mutex.lock state_mutex;
       (if not !closed then
          match Hashtbl.find_opt out (src, dst) with
-         | Some ({ state = Up c' } as l) when c' == c ->
-           let pending =
-             { queued = List.rev (Reactor.Conn.unsent c); attempt = 0; retry = None }
-           in
+         | Some ({ state = Up c'; _ } as l) when c' == c ->
+           let queued = List.rev (Reactor.Conn.unsent c) in
+           let pending = { queued; count = List.length queued; attempt = 0; retry = None } in
            l.state <- Down pending;
            schedule_retry ~src ~dst pending
          | _ -> ());
@@ -436,7 +449,7 @@ module Tcp_codec = struct
       Mutex.lock state_mutex;
       (if not !closed then
          match Hashtbl.find_opt out (src, dst) with
-         | Some ({ state = Down pending } as l) -> (
+         | Some ({ state = Down pending; _ } as l) -> (
            pending.retry <- None;
            match Hashtbl.find_opt ports dst with
            | None -> Hashtbl.remove out (src, dst)
@@ -491,52 +504,72 @@ module Tcp_codec = struct
       Buffer.contents enc_buf
     in
 
+    (* The end-of-turn flush: pump whatever connection the link has now —
+       a reconnect since the post replaced the one the frames went to. *)
+    let flush_link l () =
+      Mutex.lock state_mutex;
+      l.flush_posted <- false;
+      let conn = match l.state with Up c -> Some c | Down _ -> None in
+      Mutex.unlock state_mutex;
+      Option.iter pump conn
+    in
+
     let send ~src ~dst msg =
       if not !closed then
         match Hashtbl.find_opt ports dst with
         | None -> Links.record_drop links dst
         | Some port ->
-          (* Pump outside [state_mutex]: the write syscall must not serialize
-             every sender in the process on the transport's one lock. *)
-          let to_pump = ref None in
+          (* On the loop that owns the link's connection, a frame only
+             buffers: one flush per connection is posted for the end of the
+             turn, so a step's frames to a peer leave in one [write]. Any
+             other thread pumps at once, outside [state_mutex]: the write
+             syscall must not serialize every sender on the transport's one
+             lock. *)
+          let loop = reactor_for src in
+          let on_owner = Reactor.on_loop loop in
+          let to_pump = ref None and to_post = ref None in
+          let buffer l c frame =
+            Reactor.Conn.buffer c frame;
+            Option.iter Dex_metrics.Registry.incr m_frames;
+            note_hwm dst c;
+            if not on_owner then to_pump := Some c
+            else if not l.flush_posted then begin
+              l.flush_posted <- true;
+              to_post := Some l
+            end
+          in
           Mutex.lock state_mutex;
           (if not !closed then begin
              let frame = encode_frame (src, msg) in
              match Hashtbl.find_opt out (src, dst) with
-             | Some { state = Up c } when Reactor.Conn.is_open c ->
-               Reactor.Conn.buffer c frame;
-               to_pump := Some c;
-               note_hwm dst c
-             | Some ({ state = Up c } as l) ->
+             | Some ({ state = Up c; _ } as l) when Reactor.Conn.is_open c -> buffer l c frame
+             | Some ({ state = Up c; _ } as l) ->
                (* The close callback lost a race; recover its work here. *)
-               let pending =
-                 {
-                   queued = frame :: List.rev (Reactor.Conn.unsent c);
-                   attempt = 0;
-                   retry = None;
-                 }
-               in
+               let queued = frame :: List.rev (Reactor.Conn.unsent c) in
+               let pending = { queued; count = List.length queued; attempt = 0; retry = None } in
                l.state <- Down pending;
                schedule_retry ~src ~dst pending
-             | Some { state = Down pending } ->
-               if List.length pending.queued < max_down_queue then
-                 pending.queued <- frame :: pending.queued
+             | Some { state = Down pending; _ } ->
+               if pending.count < max_down_queue then begin
+                 pending.queued <- frame :: pending.queued;
+                 pending.count <- pending.count + 1
+               end
                else Links.record_drop links dst
              | None -> (
                match try_connect ~src ~dst ~port with
                | Some c ->
                  mark_connected ~src ~dst;
-                 Hashtbl.replace out (src, dst) { state = Up c };
-                 Reactor.Conn.buffer c frame;
-                 to_pump := Some c;
-                 note_hwm dst c
+                 let l = { state = Up c; flush_posted = false } in
+                 Hashtbl.replace out (src, dst) l;
+                 buffer l c frame
                | None ->
-                 let pending = { queued = [ frame ]; attempt = 0; retry = None } in
-                 Hashtbl.replace out (src, dst) { state = Down pending };
+                 let pending = { queued = [ frame ]; count = 1; attempt = 0; retry = None } in
+                 Hashtbl.replace out (src, dst) { state = Down pending; flush_posted = false };
                  schedule_retry ~src ~dst pending)
            end);
           Mutex.unlock state_mutex;
-          Option.iter Reactor.Conn.pump !to_pump
+          Option.iter pump !to_pump;
+          Option.iter (fun l -> Reactor.post loop (flush_link l)) !to_post
     in
 
     (* Listeners: nonblocking accept driven by the reactor. Each accepted

@@ -126,16 +126,22 @@ module Tcp_codec : sig
       outbound queues that coalesce multiple frames per [write] syscall,
       and reconnect backoffs as reactor timers. Per-peer write-buffer
       high-water marks are mirrored to [metrics] as
-      [net/wbuf_hwm/peer<pid>]. The reactor is borrowed, not owned: [close]
-      deregisters everything but leaves the loop running for its owner to
-      stop. Because the retry budget runs on reactor timers, the link
-      counters of a failed send settle after [send] returns.
+      [net/wbuf_hwm/peer<pid>]; [net/frames] counts frames handed to a
+      connection and [net/flushes] the writes that carried them out. The
+      reactor is borrowed, not owned: [close] deregisters everything but
+      leaves the loop running for its owner to stop. Because the retry
+      budget runs on reactor timers, the link counters of a failed send
+      settle after [send] returns.
 
-      [reactor_for] (default: everything on [reactor]) shards the I/O of
-      co-located endpoints over several loops: [reactor_for pid] owns pid's
-      listener, its accepted connections and the outbound connections pid
-      originates, so one process hosting a whole mesh does not serialize
-      every endpoint's reads on a single thread. Reconnect backoff timers
-      stay on the primary [reactor]; the shard
-      loops are likewise borrowed, never stopped. *)
+      [reactor_for] (default: everything on [reactor]) names the loop that
+      owns each local endpoint's sockets: [reactor_for pid] reads and
+      decodes pid's inbound frames (so pid's delivery hook runs there) and
+      owns the outbound connections pid starts. A node that runs on its own
+      pid's loop therefore receives without a thread handoff, and its sends
+      batch: a frame sent from the loop that owns the connection is
+      buffered, and one flush per connection is posted for the end of that
+      loop turn, so a step's frames to one peer leave in one [write]. A
+      frame sent from any other thread is written at once. Reconnect
+      backoff timers stay on [reactor]; every loop is borrowed, never
+      stopped. *)
 end

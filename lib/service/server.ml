@@ -17,8 +17,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     me : Pid.t;
     cfg : config;
     transport : smsg Transport.t;
-    loop : Reactor.t;  (* the replica's only thread: consensus, clients, timers, WAL syncer *)
-    owns_loop : bool;  (* created here (we stop it), or borrowed from the deployment *)
+    loop : Reactor.t;
+        (* the replica's only thread: consensus, peer sockets, clients,
+           timers, WAL syncer; the deployment's, so a restart lands on it *)
     conns : (int, Reactor.Conn.t) Hashtbl.t;  (* client -> latest reply connection *)
     dirty : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
         (* connections with unpumped replies, pumped once per step: one
@@ -83,20 +84,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     { Protocol.start = (fun () -> run t Start);
       on_message = (fun ~now:_ ~from m -> run t (Message (from, m))) }
 
-  (* A replica and its shell. By default it owns a private loop (whose
-     [reactor/*] gauges land in the replica's registry); a sharded
-     deployment passes [service_reactor] to share loops across co-located
-     replicas — borrowed, never stopped here. *)
-  let replica ?catchup ?service_reactor cfg ~me ~transport =
+  (* A replica and its shell, on a loop the deployment owns. *)
+  let replica ?catchup cfg ~me ~transport ~loop =
     let r = R.create ?catchup cfg ~me ~now:(Unix.gettimeofday ()) in
     let metrics = R.metrics r in
-    let owns_loop, loop =
-      match service_reactor with
-      | Some l -> (false, l)
-      | None -> (true, Reactor.create ~metrics ~name:(Printf.sprintf "replica-%d" me) ())
-    in
     let t =
-      { replica = r; me; cfg; transport; loop; owns_loop; conns = Hashtbl.create 64;
+      { replica = r; me; cfg; transport; loop; conns = Hashtbl.create 64;
         dirty = Hashtbl.create 8; client_conns = []; running = false;
         listener = None; batch_timer = None; cut_timer = None;
         g_client_hwm = Registry.gauge metrics "service/client_wbuf_hwm" }
@@ -198,14 +191,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     end
 
   (* Service and WAL go down on the replica's own loop, so nothing of the
-     replica runs beside the teardown. A private loop exists from
-     [replica] on, so it is stopped even if the service was never started;
-     a borrowed (shared-runtime) loop is left running for its owner. *)
+     replica runs beside the teardown. The loop stays up: it still serves
+     the pid's transport endpoint, and a restart runs on it. *)
   let teardown t close_wal =
     Reactor.call t.loop (fun () ->
         stop_service t;
-        close_wal (R.lane t.replica));
-    if t.owns_loop then Reactor.stop t.loop
+        close_wal (R.lane t.replica))
 
   let stop t = teardown t Durability_lane.stop
 
@@ -285,39 +276,43 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
 
   (* The loopback mesh a deployment (or a whole group set) runs on: a
      primary [mesh] loop, whose gauges land in [net_metrics] and which hosts
-     the transport's timers, plus extra loops the per-endpoint I/O is
-     sharded across. Extra loops are gated on cores: on few cores they are
-     pure context-switch overhead, so there are at most three, one fewer
-     than the cores, and one fewer than the [replicas] the mesh hosts. The
-     gauges live on the primary loop only (shards would collide on the
-     metric names). *)
-  let mesh ?faults ~net_metrics ~replicas ~pids () =
-    let primary = Reactor.create ~metrics:net_metrics ~name:"mesh" () in
-    let cores = Domain.recommended_domain_count () in
-    let shards =
-      Array.init
-        (min 3 (max 0 (min (replicas - 1) (cores - 1))))
-        (fun i -> Reactor.create ~name:(Printf.sprintf "mesh-%d" (i + 1)) ())
+     the transport's reconnect timers and the nodes that are not replicas,
+     plus one loop per replica index. Global pid [p] is replica
+     [p mod stride] of group [p / stride]; every group's replica [j] reads
+     its frames and owns its outbound connections on loop [j], where its
+     consensus runs too, so a peer frame never changes threads and a step's
+     frames to one peer leave in one [write] at the end of the loop turn. *)
+  type mesh = {
+    mesh_transport : smsg Transport.t;
+    mesh_loop : Reactor.t;
+    replica_loops : Reactor.t array;
+    loop_metrics : Registry.t array;
+  }
+
+  let loop_per_replica n =
+    let metrics = Array.init n (fun _ -> Registry.create ()) in
+    let loops =
+      Array.init n (fun j ->
+          Reactor.create ~metrics:metrics.(j) ~name:(Printf.sprintf "replica-%d" j) ())
     in
-    let reactor_for =
-      if Array.length shards = 0 then None
-      else
-        let pool = Array.append [| primary |] shards in
-        Some (fun pid -> pool.(pid mod Array.length pool))
+    (loops, metrics)
+
+  let mesh ?faults ~net_metrics ~replicas ~stride ~groups () =
+    let mesh_loop = Reactor.create ~metrics:net_metrics ~name:"mesh" () in
+    let loops, loop_metrics = loop_per_replica replicas in
+    let reactor_for pid = if pid mod stride < replicas then loops.(pid mod stride) else mesh_loop in
+    let mesh_transport =
+      Transport.Tcp_codec.create ~codec:smsg_codec ~metrics:net_metrics ?faults ~reactor:mesh_loop
+        ~reactor_for ~pids:(List.init (groups * stride) Fun.id) ()
     in
-    let transport =
-      Transport.Tcp_codec.create ~codec:smsg_codec ~metrics:net_metrics ?faults ~reactor:primary
-        ?reactor_for ~pids ()
-    in
-    (transport, primary, shards)
+    { mesh_transport; mesh_loop; replica_loops = loops; loop_metrics }
 
   (* A runtime lent to a deployment instead of letting [launch] build its
      own: a pid-namespaced transport view onto a bigger shared mesh
      ({!Transport.offset}), the registry that mesh reports into, the mesh
-     loops, and a selector giving each replica index a shared service
-     loop. Everything here is borrowed — the lender (a sharded
-     group set) stops loops and closes the real mesh after every borrowing
-     deployment is down. *)
+     loop, and a selector giving each replica index its loop. Everything
+     here is borrowed — the lender (a sharded group set) stops loops and
+     closes the real mesh after every borrowing deployment is down. *)
   type shared_runtime = {
     sr_transport : smsg Transport.t;
     sr_net_metrics : Registry.t;
@@ -334,10 +329,13 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     net_reactor : Reactor.t option;
         (* the primary mesh loop, shared by the transport's timers and the
            nodes that are not replicas; a lent runtime may supply none *)
-    mesh_shards : Reactor.t array;
-        (* extra mesh loops: per-endpoint I/O is sharded across
-           [net_reactor :: shards] so co-located replicas' reads do not
-           serialize on one thread (empty when borrowed or on few cores) *)
+    loops : Reactor.t array;
+        (* replica pid's loop; a restart lands on the same one *)
+    loop_metrics : Registry.t array;
+        (* [reactor/*] gauges of [loops], when [launch] built them *)
+    owned_loops : Reactor.t list;
+        (* the loops [launch] built, stopped by [shutdown]; none when a
+           lender supplies them *)
     mutable servers : (Pid.t * t) list;
     ports : (Pid.t * int) list;
     mutable dead : (Pid.t * t) list;
@@ -346,12 +344,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
            cluster start so cut windows are deployment-relative *)
     churn_cells : (Pid.t * Adversary.churn_mode ref) list;
         (* live mode cell per [Churn]-role replica *)
-    owns_runtime : bool;
-        (* whether [launch] built the mesh/loops above (shut them down with
-           the deployment) or borrowed them from a shared runtime *)
-    service_loop_for : (Pid.t -> Reactor.t) option;
-        (* shared service loop per replica pid (borrowed); restarts must
-           land on the same loop as the original incarnation *)
   }
 
   let launch ?(roles = fun _ -> Correct) ?chaos ?(port_base = 0) ?runtime cfg =
@@ -367,8 +359,15 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         (Log.extra lcfg)
     in
     let pids = Pid.all ~n:cfg.n @ List.map fst extra in
-    let owns_runtime, net_metrics, net_reactor, mesh_shards, transport, service_loop_for =
+    let net_metrics, net_reactor, transport, loops, loop_metrics, owned_loops =
       match runtime with
+      | None ->
+        let net_metrics = Registry.create () in
+        let m =
+          mesh ?faults:chaos ~net_metrics ~replicas:cfg.n ~stride:(List.length pids) ~groups:1 ()
+        in
+        ( net_metrics, Some m.mesh_loop, m.mesh_transport, m.replica_loops, m.loop_metrics,
+          m.mesh_loop :: Array.to_list m.replica_loops )
       | Some rt ->
         (* Borrowed mesh: wrap only this deployment's pid-namespaced view
            with the fault plan, so chaos on one shard never touches the
@@ -378,20 +377,22 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           | Some plan -> Transport.with_faults plan rt.sr_transport
           | None -> rt.sr_transport
         in
-        (false, rt.sr_net_metrics, rt.sr_net_reactor, [||], transport, rt.sr_service_loop_for)
-      | None ->
-        let net_metrics = Registry.create () in
-        let transport, primary, shards = mesh ?faults:chaos ~net_metrics ~replicas:cfg.n ~pids () in
-        (true, net_metrics, Some primary, shards, transport, None)
+        let loops, loop_metrics, owned_loops =
+          match rt.sr_service_loop_for with
+          | Some f -> (Array.init cfg.n f, [||], [])
+          | None ->
+            let loops, metrics = loop_per_replica cfg.n in
+            (loops, metrics, Array.to_list loops)
+        in
+        (rt.sr_net_metrics, rt.sr_net_reactor, transport, loops, loop_metrics, owned_loops)
     in
-    let svc_loop p = Option.map (fun f -> f p) service_loop_for in
     let servers = ref [] in
     let churn_cells = ref [] in
-    (* Each replica's consensus runs on its own service loop; the other
+    (* Each replica's consensus runs on its own loop; the other
        nodes (UC auxiliaries, mute and equivocating replicas) run on the
        mesh loop. *)
     let make p =
-      let new_replica () = replica ?service_reactor:(svc_loop p) cfg ~me:p ~transport in
+      let new_replica () = replica cfg ~me:p ~transport ~loop:loops.(p) in
       match roles p with
       | Correct ->
         let t, inst = new_replica () in
@@ -425,8 +426,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           (p, start_service ~port:(if port_base = 0 then 0 else port_base + i) s))
         servers
     in
-    { dcfg = cfg; cluster; transport; net_metrics; net_reactor; mesh_shards; servers; ports;
-      dead = []; chaos; churn_cells = List.rev !churn_cells; owns_runtime; service_loop_for }
+    { dcfg = cfg; cluster; transport; net_metrics; net_reactor; loops; loop_metrics; owned_loops;
+      servers; ports; dead = []; chaos; churn_cells = List.rev !churn_cells }
 
   let set_churn_mode d pid mode =
     match List.assoc_opt pid d.churn_cells with
@@ -452,11 +453,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       invalid_arg "Server.restart_replica: already running";
     (* [catchup:true]: even a replica that lost its whole data dir must ask
        the peers where the log stands before taking client traffic. *)
-    let t, inst =
-      replica ~catchup:true
-        ?service_reactor:(Option.map (fun f -> f pid) d.service_loop_for)
-        d.dcfg ~me:pid ~transport:d.transport
-    in
+    let t, inst = replica ~catchup:true d.dcfg ~me:pid ~transport:d.transport ~loop:d.loops.(pid) in
     Cluster.start_node d.cluster pid ~loop:t.loop inst;
     let port = List.assoc pid d.ports in
     ignore (start_service ~port t);
@@ -499,12 +496,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
        of them shuts down. *)
     Cluster.shutdown d.cluster;
     List.iter (fun (_, s) -> stop s) d.servers;
-    if d.owns_runtime then begin
-      (* The mesh loops are borrowed by transport and cluster alike; the
-         deployment owns them. *)
-      Option.iter Reactor.stop d.net_reactor;
-      Array.iter Reactor.stop d.mesh_shards
-    end
+    List.iter Reactor.stop d.owned_loops
 
   (* Agreement check across the correct replicas of a deployment — killed
      replicas' pre-crash (and recovered) commit logs included: a slot a

@@ -1,13 +1,14 @@
 (** The replicated service: client requests in, state-machine replies out.
 
     [Server] is the only shell around a {!Replica}, a state machine with no
-    I/O of its own. For each replica it owns one {!Dex_runtime.Reactor}
-    loop (private, or borrowed from a shared runtime) and, on it: the
-    client listener and connections (the client-to-connection map replies
-    go to, and the connections to pump), the batch timer
-    ({!Replica.Make.Tick}), the one-shot cut timer ({!Replica.Make.Arm_cut},
-    {!Replica.Make.Cut}) and the WAL group-commit syncer
-    ({!Replica.Make.Durable}). It reads the wall clock once per event,
+    I/O of its own. Each replica runs on one {!Dex_runtime.Reactor} loop,
+    owned by its deployment (or by the shared runtime a deployment
+    borrows), which also carries the replica's peer sockets. On it
+    [Server] keeps the client listener and connections (the
+    client-to-connection map replies go to, and the connections to pump),
+    the batch timer ({!Replica.Make.Tick}), the one-shot cut timer
+    ({!Replica.Make.Arm_cut}, {!Replica.Make.Cut}) and the WAL
+    group-commit syncer ({!Replica.Make.Durable}). It reads the wall clock once per event,
     steps the replica, and carries out the effects on that loop: replies
     are buffered and pumped once per step, the release hop
     ({!Replica.Make.Via_transport}) goes through the transport, and
@@ -84,23 +85,36 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       over {!Transport.Tcp_codec}, each correct replica serving clients on
       its own loopback port. *)
 
+  type mesh = {
+    mesh_transport : smsg Transport.t;
+    mesh_loop : Reactor.t;
+        (** the primary loop: the transport's reconnect timers and the
+            nodes that are not replicas; its [reactor/*] gauges land in the
+            mesh's [net_metrics] *)
+    replica_loops : Reactor.t array;
+        (** loop [j] runs replica [j] of every group: its consensus, its
+            inbound frames and the outbound connections it starts *)
+    loop_metrics : Dex_metrics.Registry.t array;  (** [replica_loops.(j)]'s [reactor/*] gauges *)
+  }
+  (** The loopback mesh a deployment, or a whole group set, runs on. *)
+
   val mesh :
     ?faults:Fault_plan.t ->
     net_metrics:Dex_metrics.Registry.t ->
     replicas:int ->
-    pids:Pid.t list ->
+    stride:int ->
+    groups:int ->
     unit ->
-    smsg Transport.t * Reactor.t * Reactor.t array
-  (** [mesh ~net_metrics ~replicas ~pids ()] builds the loopback mesh a
-      deployment runs on: [(transport, primary, shards)]. The [primary]
-      loop reports its [reactor/*] gauges into [net_metrics] and hosts the
-      transport's timers; per-endpoint I/O is spread over
-      [primary :: shards], with [max 0 (min 3 (min (replicas - 1)
-      (cores - 1)))] extra loops — on few cores extra loops are pure
-      context-switch overhead. [replicas] is the replica count the mesh
-      hosts ([n] for one deployment, [k * n] for a sharded group set).
-      The caller owns everything: close the transport, then stop the
-      loops. *)
+    mesh
+  (** [mesh ~net_metrics ~replicas ~stride ~groups ()] builds the mesh over
+      pids [0 .. groups * stride - 1], where pid [p] is replica
+      [p mod stride] of group [p / stride] when [p mod stride < replicas],
+      and a UC auxiliary node otherwise. It has [1 + replicas] loops
+      however many groups there are: the {!Transport.Tcp_codec}
+      [reactor_for] maps every group's replica [j] to [replica_loops.(j)]
+      and everything else to [mesh_loop]. Peer frames a replica sends from
+      its own loop flush once per loop turn. The caller owns everything:
+      close the transport, then stop the loops. *)
 
   type shared_runtime = {
     sr_transport : smsg Transport.t;
@@ -114,10 +128,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
             that are not replicas (UC auxiliaries, mute and equivocating
             replicas); borrowed, never stopped here *)
     sr_service_loop_for : (Pid.t -> Reactor.t) option;
-        (** the shared service loop each replica pid runs its consensus,
-            client I/O and batch cadence on — so loop count is bounded
-            by replica index, not by group count; [None] gives every
-            replica a private loop *)
+        (** the loop each replica pid runs on, shared by replica index
+            across groups ({!mesh}'s [replica_loops]), so loop count is
+            bounded by replica index, not by group count; [None] makes
+            {!launch} build, own and stop one loop per replica *)
   }
   (** A runtime lent to {!launch} instead of letting it build one: how
       several consensus groups (shards) share one mesh, one set of event
@@ -136,14 +150,19 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     net_reactor : Reactor.t option;
         (** the primary mesh loop, shared by the transport's timers and the
             nodes that are not replicas (its [reactor/*] gauges land in
-            [net_metrics]); each replica's consensus and client I/O run on
-            its own loop, in its own registry. [None] only under a lent
-            runtime that supplies no loop. *)
-    mesh_shards : Reactor.t array;
-        (** extra mesh loops the per-endpoint I/O is sharded across (see
-            {!mesh}) — co-located replicas' reads must not serialize on one
-            thread; empty under a lent runtime (the lender owns its loops)
-            and on a single core *)
+            [net_metrics]). [None] only under a lent runtime that supplies
+            no loop. *)
+    loops : Reactor.t array;
+        (** replica pid's loop, where its consensus, peer sockets and
+            client I/O run; {!restart_replica} lands the new incarnation on
+            the same loop *)
+    loop_metrics : Dex_metrics.Registry.t array;
+        (** the [reactor/*] gauges of [loops] when {!launch} built them;
+            empty when a lender owns them (it keeps their gauges) *)
+    owned_loops : Reactor.t list;
+        (** the loops {!launch} built, which {!shutdown} stops: the mesh
+            loop and [loops], or only [loops] under a lent runtime without
+            [sr_service_loop_for], or none *)
     mutable servers : (Pid.t * t) list;  (** live correct replicas *)
     ports : (Pid.t * int) list;  (** their client-facing service ports *)
     mutable dead : (Pid.t * t) list;  (** replicas taken down by {!kill_replica} *)
@@ -153,12 +172,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
             schedules are deployment-relative *)
     churn_cells : (Pid.t * Adversary.churn_mode ref) list;
         (** the live mode cell of every [Churn]-role replica *)
-    owns_runtime : bool;
-        (** whether {!launch} built the mesh and loops (so {!shutdown} stops
-            them) or borrowed a {!shared_runtime} (the lender stops them) *)
-    service_loop_for : (Pid.t -> Reactor.t) option;
-        (** the shared-runtime service-loop selector, kept so
-            {!restart_replica} lands the new incarnation on the same loop *)
   }
 
   val launch :
@@ -197,8 +210,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       on every send. *)
 
   val kill_replica : deployment -> Pid.t -> unit
-  (** Crash one correct replica: its consensus stops, its service loop
-      stops (unless shared), its service sockets close, and its WAL is
+  (** Crash one correct replica: its consensus stops, its service sockets
+      close (its loop keeps running for the restart), and its WAL is
       abandoned mid-flight, with no final flush or fsync, as a power cut
       leaves it. Its
       transport endpoint stays up. The pre-crash commit log is retained for

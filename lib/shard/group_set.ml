@@ -11,12 +11,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     cfg : S.config;
     stride : int;  (* global pids per shard: n replicas + UC auxiliaries *)
     deployments : S.deployment array;
-    transport : S.smsg Transport.t;  (* the real shared mesh (owned) *)
+    mesh : S.mesh;  (* the real shared mesh and its loops (owned) *)
     net_metrics : Registry.t;
-    net_reactor : Reactor.t;
-    mesh_shards : Reactor.t array;
-    service_loops : Reactor.t array;
-    loop_metrics : Registry.t array;  (* each service loop's [reactor/*] gauges *)
     mutable closed : bool;
   }
 
@@ -46,25 +42,17 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     let k = Shard_map.shards map in
     let stride = stride_of cfg in
     let net_metrics = Registry.create () in
-    (* The mesh's extra I/O loops are gated by the replica count of the
-       whole set, so the loop count does not grow with the shard count. *)
-    let transport, net_reactor, mesh_shards =
-      S.mesh ~net_metrics ~replicas:(k * cfg.S.n) ~pids:(List.init (k * stride) Fun.id) ()
-    in
-    (* Service loops are shared by replica index: shard [i]'s replica [j]
-       runs its client I/O, batch cadence and WAL group commit on loop [j],
-       whatever [i] — [n] loops total instead of [k * n]. *)
-    let loop_metrics = Array.init cfg.S.n (fun _ -> Registry.create ()) in
-    let service_loops =
-      Array.init cfg.S.n (fun j ->
-          Reactor.create ~metrics:loop_metrics.(j) ~name:(Printf.sprintf "svc-%d" j) ())
-    in
+    (* Loops are shared by replica index: shard [i]'s replica [j] runs its
+       consensus, peer sockets, client I/O, batch cadence and WAL group
+       commit on loop [j], whatever [i] — [1 + n] loops in all instead of
+       [1 + k * n]. *)
+    let mesh = S.mesh ~net_metrics ~replicas:cfg.S.n ~stride ~groups:k () in
     let runtime i =
       {
-        S.sr_transport = Transport.offset ~base:(i * stride) ~count:stride transport;
+        S.sr_transport = Transport.offset ~base:(i * stride) ~count:stride mesh.S.mesh_transport;
         sr_net_metrics = net_metrics;
-        sr_net_reactor = Some net_reactor;
-        sr_service_loop_for = Some (fun pid -> service_loops.(pid));
+        sr_net_reactor = Some mesh.S.mesh_loop;
+        sr_service_loop_for = Some (fun pid -> mesh.S.replica_loops.(pid));
       }
     in
     let deployments =
@@ -78,19 +66,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
             ~runtime:(runtime i)
             { cfg with S.data_dir = shard_data_dir ~k cfg i })
     in
-    {
-      map;
-      cfg;
-      stride;
-      deployments;
-      transport;
-      net_metrics;
-      net_reactor;
-      mesh_shards;
-      service_loops;
-      loop_metrics;
-      closed = false;
-    }
+    { map; cfg; stride; deployments; mesh; net_metrics; closed = false }
 
   let ports t = Array.map (fun d -> List.map snd d.S.ports) t.deployments
 
@@ -102,10 +78,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
          is the real mesh torn down, followed by the loops everything above
          was borrowing. *)
       Array.iter S.shutdown t.deployments;
-      t.transport.Transport.close ();
-      Reactor.stop t.net_reactor;
-      Array.iter Reactor.stop t.mesh_shards;
-      Array.iter Reactor.stop t.service_loops
+      t.mesh.S.mesh_transport.Transport.close ();
+      Reactor.stop t.mesh.S.mesh_loop;
+      Array.iter Reactor.stop t.mesh.S.replica_loops
     end
 
   (* ------------------------------- chaos -------------------------------- *)
@@ -125,7 +100,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
   let runtime_snapshot t =
     Registry.merge
       (Registry.snapshot t.net_metrics
-      :: Array.to_list (Array.map Registry.snapshot t.loop_metrics))
+      :: Array.to_list (Array.map Registry.snapshot t.mesh.S.loop_metrics))
 
   let agreement_violations t = Array.map S.agreement_violations t.deployments
 end

@@ -11,10 +11,12 @@
     - one TCP mesh over the union pid space, each shard seeing its slice
       through a zero-based {!Dex_runtime.Transport.offset} view at stride
       [n + #UC-auxiliaries];
-    - one primary mesh loop (plus core-gated extra loops) for all groups;
-    - [n] shared service loops, keyed by {e replica index}: shard [i]'s
-      replica [j] runs on loop [j] whatever [i], so the loop count is set
-      by the group shape, not the shard count.
+    - one primary mesh loop for all groups (reconnect timers, UC
+      auxiliaries, mute and equivocating nodes);
+    - [n] shared replica loops, keyed by {e replica index}: shard [i]'s
+      replica [j] runs its consensus, peer sockets and client I/O on loop
+      [j] whatever [i], so the loop count ([1 + n] threads) is set by the
+      group shape, not the shard count.
 
     Groups never exchange consensus messages — the offset views make cross
     -shard pids unreachable — so safety composes: each shard's agreement
@@ -82,8 +84,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   val runtime_snapshot : t -> Dex_metrics.Registry.snapshot
   (** The shared runtime, attributed to no shard: the mesh's [net/*]
-      series and the [reactor/*] gauges of the primary mesh loop and every
-      shared service loop, summed. *)
+      series (among them [net/frames] and [net/flushes]) and the
+      [reactor/*] gauges of the primary mesh loop and every replica loop,
+      summed. *)
 
   val agreement_violations : t -> (int * (int * (Pid.t * int) list) list) array
   (** Per shard: {!Dex_service.Server.Make.agreement_violations}. *)

@@ -488,6 +488,72 @@ let test_tcp_reactor_roundtrip () =
   b.Transport.close ();
   Reactor.stop r
 
+(* Two loops, a [main] one and [l], both stopped after [f]. *)
+let with_two_reactors f =
+  let main = Reactor.create () and l = Reactor.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Reactor.stop l;
+      Reactor.stop main)
+    (fun () -> f main l)
+
+let test_tcp_reactor_for_runs_delivery () =
+  (* [reactor_for] maps pid 1 to [l]: its inbound frames are read and
+     decoded there, so its delivery hook runs on [l]'s thread. *)
+  with_two_reactors @@ fun main l ->
+  let tr =
+    Transport.Tcp_codec.create ~codec:Dex_codec.Codec.int ~reactor:main
+      ~reactor_for:(fun p -> if p = 1 then l else main)
+      ~pids:[ 0; 1 ] ()
+  in
+  let box = Mailbox.create () in
+  tr.Transport.deliver ~me:1 (Some (fun _ i -> Mailbox.push box (i, Reactor.on_loop l)));
+  for i = 0 to 4 do
+    tr.Transport.send ~src:0 ~dst:1 i
+  done;
+  for i = 0 to 4 do
+    match Mailbox.pop ~timeout:2.0 box with
+    | Some (j, on_l) ->
+      Alcotest.(check int) "in order" i j;
+      Alcotest.(check bool) "hook ran on pid 1's loop" true on_l
+    | None -> Alcotest.failf "frame %d never delivered" i
+  done;
+  tr.Transport.close ()
+
+let test_tcp_owner_loop_flushes_once_per_turn () =
+  (* Frames sent from the loop that owns the connection buffer until one
+     flush at the end of the loop turn; frames sent from any other thread
+     are pumped one by one, at once. *)
+  with_two_reactors @@ fun main l ->
+  let metrics = Dex_metrics.Registry.create () in
+  let tr =
+    Transport.Tcp_codec.create ~codec:Dex_codec.Codec.int ~metrics ~reactor:main
+      ~reactor_for:(fun p -> if p = 0 then l else main)
+      ~pids:[ 0; 1 ] ()
+  in
+  let count name = Dex_metrics.Registry.(get (snapshot metrics) name) in
+  let receive_in_order what first =
+    let got = List.init 20 (fun _ -> tr.Transport.recv ~me:1 ~timeout:2.0) in
+    Alcotest.(check (list (option (pair int int))))
+      what
+      (List.init 20 (fun i -> Some (0, first + i)))
+      got
+  in
+  Reactor.call l (fun () ->
+      for i = 0 to 19 do
+        tr.Transport.send ~src:0 ~dst:1 i
+      done);
+  receive_in_order "an on-loop wave arrives whole and in order" 0;
+  Alcotest.(check int) "20 frames" 20 (count "net/frames");
+  Alcotest.(check int) "one flush for the wave" 1 (count "net/flushes");
+  for i = 20 to 39 do
+    tr.Transport.send ~src:0 ~dst:1 i
+  done;
+  Alcotest.(check int) "an off-loop sender pumps each frame at once" 21 (count "net/flushes");
+  receive_in_order "off-loop frames arrive in order" 20;
+  Alcotest.(check int) "40 frames" 40 (count "net/frames");
+  tr.Transport.close ()
+
 let test_tcp_reactor_reconnect_while_writable () =
   (* Kill the peer endpoint, keep sending into the (possibly still armed)
      write path, then resurrect a listener on the same port: the frames
@@ -634,6 +700,10 @@ let () =
           Alcotest.test_case "conn write backpressure" `Quick
             test_reactor_conn_write_backpressure;
           Alcotest.test_case "tcp_codec on reactor" `Quick test_tcp_reactor_roundtrip;
+          Alcotest.test_case "reactor_for runs delivery" `Quick
+            test_tcp_reactor_for_runs_delivery;
+          Alcotest.test_case "owner loop flushes once per turn" `Quick
+            test_tcp_owner_loop_flushes_once_per_turn;
           Alcotest.test_case "reconnect while writable" `Quick
             test_tcp_reactor_reconnect_while_writable;
           Alcotest.test_case "call" `Quick test_reactor_call;

@@ -443,21 +443,31 @@ let thread_count () =
   (* Linux: one entry per live thread. *)
   Array.length (Sys.readdir "/proc/self/task")
 
+(* The thread count once it has held still for 50 ms: a loop stopped from
+   its own callback (or by an earlier test) finishes on its own time. *)
+let settled_thread_count () =
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec go prev =
+    Thread.delay 0.05;
+    let now = thread_count () in
+    if now = prev || Unix.gettimeofday () > deadline then now else go now
+  in
+  go (thread_count ())
+
+module G = Dex_shard.Group_set.Make (Dex_core.Dex.Lane (Dex_underlying.Uc_oracle))
+
 let test_shutdown_joins_threads () =
   if not (Sys.file_exists "/proc/self/task") then ()
   else begin
-    let baseline = thread_count () in
+    let baseline = settled_thread_count () in
+    let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
     let run () =
-      let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
-      let before = thread_count () in
+      let before = settled_thread_count () in
       let d = S.launch cfg in
-      (* A deployment runs on its loops alone: the mesh loops and one
-         service loop per replica, where each replica's consensus runs too.
-         (At most: a thread an earlier test left behind may exit meanwhile.) *)
-      let loops = 1 + Array.length d.S.mesh_shards + List.length d.S.servers in
-      let extra = thread_count () - before in
-      if extra > loops then
-        Alcotest.failf "%d threads started for a deployment of %d loops" extra loops;
+      (* A deployment runs on its loops alone: the mesh loop and one loop
+         per replica, where the replica's consensus and peer sockets run. *)
+      Alcotest.(check int) "threads of a running n=4 deployment" (1 + 4)
+        (thread_count () - before);
       let c = Client.connect ~client:1 (List.map snd d.S.ports) in
       let stop = ref false in
       let loader =
@@ -477,6 +487,17 @@ let test_shutdown_joins_threads () =
       Client.close c
     in
     run ();
+    (* A sharded set shares the loops by replica index: [1 + n] threads
+       however many shards. *)
+    List.iter
+      (fun shards ->
+        let before = settled_thread_count () in
+        let g = G.launch ~map:(Dex_shard.Shard_map.create ~shards ()) cfg in
+        Alcotest.(check int)
+          (Printf.sprintf "threads of a running %d-shard set" shards)
+          (1 + 4) (thread_count () - before);
+        G.shutdown g)
+      [ 1; 3 ];
     (* Every syncer and loop thread must have been joined: the
        process returns to its pre-deployment thread count. *)
     let deadline = Unix.gettimeofday () +. 5.0 in
@@ -495,25 +516,26 @@ let test_shutdown_joins_threads () =
 
 let test_getters_on_stopped_and_busy_loops () =
   (* Replica getters run on the replica's loop. From a foreign thread they
-     must answer while that loop is under client load, and after a crash
-     has stopped the loop they must answer directly instead of waiting on
-     it. *)
+     must answer while that loop is under client load, for a crashed
+     replica, and after shutdown has stopped the loop, when they must
+     answer directly instead of waiting on it. *)
   let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
+  let within_1s what f =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= 1.0 then Alcotest.failf "%s took %.2f s" what dt
+  in
+  let getters s =
+    within_1s "commit_log" (fun () -> S.commit_log s);
+    within_1s "stats" (fun () -> S.stats s);
+    within_1s "state_digest" (fun () -> S.state_digest s);
+    within_1s "apply_frontier" (fun () -> S.apply_frontier s);
+    within_1s "state_snapshot" (fun () -> S.state_snapshot s);
+    within_1s "catching_up" (fun () -> S.catching_up s)
+  in
+  let survivor = ref None in
   with_deployment cfg (fun d ->
-      let within_1s what f =
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt >= 1.0 then Alcotest.failf "%s took %.2f s" what dt
-      in
-      let getters s =
-        within_1s "commit_log" (fun () -> S.commit_log s);
-        within_1s "stats" (fun () -> S.stats s);
-        within_1s "state_digest" (fun () -> S.state_digest s);
-        within_1s "apply_frontier" (fun () -> S.apply_frontier s);
-        within_1s "state_snapshot" (fun () -> S.state_snapshot s);
-        within_1s "catching_up" (fun () -> S.catching_up s)
-      in
       let ports = List.map snd d.S.ports in
       let report = ref None in
       let loader =
@@ -526,6 +548,7 @@ let test_getters_on_stopped_and_busy_loops () =
           ()
       in
       let s0 = List.assoc 0 d.S.servers in
+      survivor := Some s0;
       let deadline = Unix.gettimeofday () +. 0.8 in
       while Unix.gettimeofday () < deadline do
         getters s0
@@ -539,7 +562,8 @@ let test_getters_on_stopped_and_busy_loops () =
       Alcotest.(check bool) "the crashed replica's log is readable" true (S.commit_log s1 <> []);
       let compared, violations = S.agreement_violations d in
       Alcotest.(check bool) "slots compared" true (compared > 0);
-      Alcotest.(check int) "no agreement violations" 0 (List.length violations))
+      Alcotest.(check int) "no agreement violations" 0 (List.length violations));
+  getters (Option.get !survivor)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
