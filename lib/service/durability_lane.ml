@@ -14,6 +14,7 @@ type t = {
   mutable syncer : Wal.syncer option;
   mutable wal_lsn : int;  (* lsn of the newest appended commit record *)
   mutable released_lsn : int;  (* replies with lsn <= this may leave *)
+  mutable closed : bool;  (* stopped or crashed: releases nothing more *)
   wait_replies : (int, (int * int * Wire.outcome) list) Hashtbl.t;
   mutable snapshot_slot : int;  (* newest snapshot boundary captured/installed *)
   mutable pending_capture : (int * string * int) option;  (* slot, payload, covering lsn *)
@@ -21,35 +22,30 @@ type t = {
 }
 
 let create ?dir ~segment_bytes ~metrics () =
-  let c_snapshots = Registry.counter metrics "durability/snapshots" in
-  match dir with
-  | None ->
-    ( {
-        dir = None;
-        wal = None;
-        syncer = None;
-        wal_lsn = 0;
-        released_lsn = 0;
-        wait_replies = Hashtbl.create 16;
-        snapshot_slot = 0;
-        pending_capture = None;
-        c_snapshots;
-      },
-      { snapshot = None; entries = []; had_state = false } )
-  | Some dir ->
-    let r = Recovery.run ~metrics ~segment_bytes ~dir () in
-    let last = Wal.last_lsn r.Recovery.wal in
-    ( {
-        dir = Some dir;
-        wal = Some r.Recovery.wal;
-        syncer = None;
-        wal_lsn = last;
-        released_lsn = last;
-        wait_replies = Hashtbl.create 16;
-        snapshot_slot = 0;
-        pending_capture = None;
-        c_snapshots;
-      },
+  let recovered = Option.map (fun dir -> Recovery.run ~metrics ~segment_bytes ~dir ()) dir in
+  let wal = Option.map (fun r -> r.Recovery.wal) recovered in
+  let last = match wal with Some wal -> Wal.last_lsn wal | None -> 0 in
+  let t =
+    {
+      dir;
+      wal;
+      syncer = None;
+      wal_lsn = last;
+      released_lsn = last;
+      closed = false;
+      wait_replies = Hashtbl.create 16;
+      snapshot_slot = 0;
+      pending_capture = None;
+      c_snapshots = Registry.counter metrics "durability/snapshots";
+    }
+  in
+  (* The watermark replies are released up to; never past [wal/*]'s durable
+     one. *)
+  Registry.gauge_fn metrics "durability/released_lsn" (fun () -> t.released_lsn);
+  ( t,
+    match recovered with
+    | None -> { snapshot = None; entries = []; had_state = false }
+    | Some r ->
       {
         snapshot = r.Recovery.snapshot;
         entries = r.Recovery.entries;
@@ -97,7 +93,7 @@ let kick t =
   if Hashtbl.length t.wait_replies > 0 then Option.iter Wal.kick_syncer t.syncer
 
 let release_up_to t ~watermark ~reply =
-  if watermark <= t.released_lsn then false
+  if t.closed || watermark <= t.released_lsn then false
   else begin
     for lsn = t.released_lsn + 1 to watermark do
       match Hashtbl.find_opt t.wait_replies lsn with
@@ -154,8 +150,10 @@ let snapshots t = Registry.value t.c_snapshots
 
 let stop t =
   Option.iter Wal.stop_syncer t.syncer;
-  Option.iter Wal.close t.wal
+  Option.iter Wal.close t.wal;
+  t.closed <- true
 
 let crash t =
   Option.iter Wal.abandon_syncer t.syncer;
-  Option.iter Wal.abandon t.wal
+  Option.iter Wal.abandon t.wal;
+  t.closed <- true

@@ -8,8 +8,9 @@
     until the syncer's callback advances it ({!release_up_to}).
 
     Not internally synchronized: the owner drives every call from one
-    thread (the replica's step, and the shell's WAL syncer on the same
-    loop); only the WAL underneath has its own lock.
+    thread (the replica's step, fed the syncer's watermarks as posted
+    steps); only the WAL underneath has its own lock, and the group-commit
+    fsyncs run on the syncer's own thread.
 
     With no data directory the lane is inert: {!append} returns lsn 0,
     which {!gate} treats as already-durable, so the undurable configuration
@@ -30,9 +31,10 @@ val create :
   unit ->
   t * recovered
 (** With [dir], runs {!Dex_store.Recovery.run} (WAL counters land in
-    [metrics] as [wal/*]; the lane adds [durability/snapshots]) and starts
-    with both watermarks at the recovered last lsn. Without [dir] the lane
-    is inert. *)
+    [metrics] as [wal/*]; the lane adds [durability/snapshots] and the
+    [durability/released_lsn] gauge, the watermark replies are released up
+    to) and starts with both watermarks at the recovered last lsn. Without
+    [dir] the lane is inert. *)
 
 val enabled : t -> bool
 
@@ -43,10 +45,13 @@ val start_group_commit :
   cap:int ->
   on_durable:(int -> unit) ->
   unit
-(** Start the WAL group-commit syncer on [reactor]: the fsync cadence is a
-    timer on that loop ({!Dex_store.Wal.syncer}), and [on_durable] runs
-    there with each new watermark (call {!release_up_to} from it). No-op
-    when the lane is inert. *)
+(** Start the WAL group-commit syncer ({!Dex_store.Wal.syncer}): one
+    thread that runs every fsync, woken by {!kick}, the size cap, and the
+    [delay] cadence, a timer on [reactor] that never fsyncs. [on_durable]
+    runs on the syncer's thread with each new watermark: post it back to
+    the owner's loop and call {!release_up_to} there. Never
+    [Reactor.call] from it, since {!stop} and {!crash} join that thread
+    from the owner's loop. No-op when the lane is inert. *)
 
 val append : t -> string -> int
 (** Append one commit record, returning the lsn that gates its replies
@@ -75,7 +80,9 @@ val kick : t -> unit
 val release_up_to :
   t -> watermark:int -> reply:(client:int -> rid:int -> Wire.outcome -> unit) -> bool
 (** Advance the released watermark, delivering every queued reply it now
-    covers (in queue order per lsn). Returns whether it advanced. *)
+    covers (in queue order per lsn). Returns whether it advanced. After
+    {!stop} or {!crash} it releases nothing: a watermark the syncer posted
+    before its join then belongs to a stopped incarnation. *)
 
 val clear_queued : t -> unit
 (** Drop every queued reply — after a snapshot transfer replaces the
@@ -127,7 +134,10 @@ val snapshots : t -> int
 (** Snapshots installed locally (the [durability/snapshots] counter). *)
 
 val stop : t -> unit
-(** Final sync, stop the syncer, close the WAL. *)
+(** Stop and join the syncer thread, do the final sync (its watermark to
+    [on_durable] on the calling thread), close the WAL. The lane then
+    releases nothing ({!release_up_to}). *)
 
 val crash : t -> unit
-(** Crash simulation: abandon syncer and WAL without the final sync. *)
+(** Crash simulation: join the syncer thread and abandon the WAL without
+    the final sync. The lane then releases nothing ({!release_up_to}). *)

@@ -18,8 +18,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     cfg : config;
     transport : smsg Transport.t;
     loop : Reactor.t;
-        (* the replica's only thread: consensus, peer sockets, clients,
-           timers, WAL syncer; the deployment's, so a restart lands on it *)
+        (* the replica's loop: consensus, peer sockets, clients, timers and
+           the WAL's fsync cadence; the deployment's, so a restart lands on
+           it. The fsyncs themselves run on the WAL syncer's own thread,
+           which posts each watermark here. *)
     conns : (int, Reactor.Conn.t) Hashtbl.t;  (* client -> latest reply connection *)
     dirty : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
         (* connections with unpumped replies, pumped once per step: one
@@ -94,9 +96,14 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         listener = None; batch_timer = None; cut_timer = None;
         g_client_hwm = Registry.gauge metrics "service/client_wbuf_hwm" }
     in
+    (* Each watermark comes from the syncer's thread and is posted, never
+       [Reactor.call]ed: [stop] and [crash] join that thread from this
+       loop. One posted before that join reaches a closed lane, which
+       releases nothing. *)
     if cfg.group_commit then
       Durability_lane.start_group_commit ~reactor:loop (R.lane r) ~delay:cfg.sync_delay
-        ~cap:cfg.sync_cap ~on_durable:(fun watermark -> feed t (Durable watermark));
+        ~cap:cfg.sync_cap ~on_durable:(fun watermark ->
+          Reactor.post loop (fun () -> feed t (Durable watermark)));
     (t, instance t)
 
   (* ----------------------------- the service ----------------------------- *)

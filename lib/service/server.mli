@@ -8,7 +8,10 @@
     client-to-connection map replies go to, and the connections to pump),
     the batch timer ({!Replica.Make.Tick}), the one-shot cut timer
     ({!Replica.Make.Arm_cut}, {!Replica.Make.Cut}) and the WAL
-    group-commit syncer ({!Replica.Make.Durable}). It reads the wall clock once per event,
+    group-commit cadence. The WAL's fsyncs run on its syncer's own thread,
+    which posts each watermark to the loop as a {!Replica.Make.Durable}
+    step; a watermark from a stopped incarnation is dropped. It reads the
+    wall clock once per event,
     steps the replica, and carries out the effects on that loop: replies
     are buffered and pumped once per step, the release hop
     ({!Replica.Make.Via_transport}) goes through the transport, and

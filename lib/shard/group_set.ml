@@ -43,9 +43,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     let stride = stride_of cfg in
     let net_metrics = Registry.create () in
     (* Loops are shared by replica index: shard [i]'s replica [j] runs its
-       consensus, peer sockets, client I/O, batch cadence and WAL group
-       commit on loop [j], whatever [i] — [1 + n] loops in all instead of
-       [1 + k * n]. *)
+       consensus, peer sockets, client I/O, batch cadence and WAL
+       group-commit cadence on loop [j], whatever [i] — [1 + n] loops in
+       all instead of [1 + k * n]; each WAL's fsyncs run on its own
+       syncer thread. *)
     let mesh = S.mesh ~net_metrics ~replicas:cfg.S.n ~stride ~groups:k () in
     let runtime i =
       {

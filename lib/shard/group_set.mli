@@ -16,7 +16,8 @@
     - [n] shared replica loops, keyed by {e replica index}: shard [i]'s
       replica [j] runs its consensus, peer sockets and client I/O on loop
       [j] whatever [i], so the loop count ([1 + n] threads) is set by the
-      group shape, not the shard count.
+      group shape, not the shard count. A durable set adds one WAL syncer
+      thread per replica of every group.
 
     Groups never exchange consensus messages — the offset views make cross
     -shard pids unreachable — so safety composes: each shard's agreement

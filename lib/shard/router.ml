@@ -232,13 +232,8 @@ module Load = struct
             let idx = reply.Wire.client - t.client in
             if Unix.gettimeofday () < deadline then issue idx))
     in
-    for idx = 0 to clients - 1 do
-      issue idx
-    done;
-    flush_all t;
-    while Unix.gettimeofday () < deadline do
-      let remaining = deadline -. Unix.gettimeofday () in
-      (match Mailbox.pop ~timeout:(Float.min 0.05 remaining) t.inbox with
+    let handle_wave ~timeout =
+      match Mailbox.pop ~timeout t.inbox with
       | Some tagged ->
         handle tagged;
         let rec drain () =
@@ -248,8 +243,17 @@ module Load = struct
             drain ()
           | None -> ()
         in
-        drain ()
-      | None ->
+        drain ();
+        true
+      | None -> false
+    in
+    for idx = 0 to clients - 1 do
+      issue idx
+    done;
+    flush_all t;
+    while Unix.gettimeofday () < deadline do
+      let remaining = deadline -. Unix.gettimeofday () in
+      if not (handle_wave ~timeout:(Float.min 0.05 remaining)) then begin
         (* Quiet tick: retransmit everything not (re)sent for [timeout],
            each to its pinned shard. Collect first, mutate after. *)
         let now = Unix.gettimeofday () in
@@ -264,8 +268,16 @@ module Load = struct
             incr retries;
             Hashtbl.replace in_flight key (start, now, req, shard);
             write_shard t shard req)
-          overdue);
+          overdue
+      end;
       flush_all t
+    done;
+    (* Issuing stopped at the deadline; the requests still out get up to
+       [timeout] more to be answered, and only those still unanswered then
+       count as failed. *)
+    let cutoff = Unix.gettimeofday () +. timeout in
+    while Hashtbl.length in_flight > 0 && Unix.gettimeofday () < cutoff do
+      ignore (handle_wave ~timeout:(Float.min 0.05 (cutoff -. Unix.gettimeofday ())))
     done;
     let wall = Unix.gettimeofday () -. started in
     let agg =

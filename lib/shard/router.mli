@@ -93,8 +93,10 @@ module Load : sig
       closed-loop clients with ids [client .. client + clients - 1], one
       thread, each request routed by the map, retransmitted only to its
       pinned shard, and submissions triggered by one reply wave flushed
-      coalesced per connection. Requests still outstanding when the
-      duration ends are counted [failed]. Rid sequences are router state,
+      coalesced per connection. Issuing stops when the duration ends;
+      the requests still outstanding then get up to [timeout] (default
+      1 s, also the retransmit interval) more to be answered, and only
+      those still unanswered count [failed]. Rid sequences are router state,
       not run state: a second run on the same router continues them, so
       its requests are fresh to the servers' session caches and to the
       dedupe watermark alike. *)

@@ -15,10 +15,12 @@
    deleted, so the surviving prefix is exactly what recovery replays.
 
    Preallocation (default on): segments are ftruncate'd ahead to the full
-   segment size at creation, so the group-commit fsync never pays a file
-   extension (inode size update + block allocation) on the latency path;
+   segment size at creation, so an append never grows the inode's size;
    rotation and clean close trim the file back to its logical size. The
-   zero-filled tail is distinguishable from a torn record because an
+   extension is sparse (on ext4 a 4 MiB segment holds one 4 KiB block
+   after it), so the filesystem still allocates blocks when the appended
+   data is written back, and the group-commit fsync still pays for that.
+   The zero-filled tail is distinguishable from a torn record because an
    all-zero frame header is unforgeable — a length-0 record carries the
    nonzero FNV-64 basis as its checksum — so recovery treats "first zero
    header" as the logical end of a healthy preallocated segment, not a torn
@@ -168,10 +170,10 @@ let fresh_segment ~preallocate ~segment_bytes dir first =
   let oc = Unix.out_channel_of_descr fd in
   output_string oc magic;
   flush oc;
-  (* Extend to the full rotation size now, while off the latency path, so
-     appends + group-commit fsyncs never pay block allocation or an inode
-     size update. The zero tail is trimmed at rotation/close and is
-     recognized by recovery after a crash. *)
+  (* Extend to the full rotation size now, so appends never grow the
+     inode's size. The extension is sparse: block allocation still happens
+     at writeback, inside the group-commit fsync. The zero tail is trimmed
+     at rotation/close and is recognized by recovery after a crash. *)
   if preallocate && segment_bytes > magic_len then Unix.ftruncate fd segment_bytes;
   fsync_dir dir;
   (fd, oc, path)
@@ -301,7 +303,9 @@ let rotate_locked (t : t) =
   t.seg_size <- magic_len;
   t.segments <- t.segments @ [ (t.next_lsn, path) ]
 
-let append (t : t) payload =
+(* The lsn, and the records unsynced after this one, read under the same
+   lock. *)
+let append_counted (t : t) payload =
   Mutex.lock t.lock;
   if t.closed then begin
     Mutex.unlock t.lock;
@@ -315,9 +319,12 @@ let append (t : t) payload =
     t.seg_size <- t.seg_size + 12 + String.length payload;
     Registry.incr t.c_appends;
     Registry.add t.c_bytes (String.length payload);
+    let unsynced = lsn - t.durable in
     Mutex.unlock t.lock;
-    lsn
+    (lsn, unsynced)
   end
+
+let append t payload = fst (append_counted t payload)
 
 let flush (t : t) =
   Mutex.lock t.lock;
@@ -411,25 +418,60 @@ let stats (t : t) =
 
 (* ----------------------------- group commit ----------------------------- *)
 
-(* The fsync cadence is a periodic timer on a reactor loop, and an append
-   that reaches the size cap posts an immediate sync there, so [sync] and
-   the durability callback run off the appender's thread. A service lends
-   its own loop (one loop thread per replica, not one more per syncer);
-   without one the syncer creates a private loop and stops it with the
-   syncer. *)
+(* Every group-commit fsync runs on one plain thread per syncer, parked on
+   [wake] between groups. A kick, the size cap and the [delay] cadence set
+   [kicked] and signal it. The cadence is a periodic timer on a reactor
+   loop that only looks for unsynced records and signals, never fsyncs or
+   waits for the WAL lock: a service lends its replica's loop, so a syncer
+   costs one parked thread and no loop; without one the syncer creates a
+   private loop for the timer and stops it with the syncer. *)
 type syncer = {
   s_wal : t;
   cap : int;
   on_durable : int -> unit;
-  mutable running : bool;
+  m : Mutex.t;
+  wake : Condition.t;
+  mutable kicked : bool;
+  mutable running : bool;  (* under [m] *)
+  mutable thread : Thread.t option;  (* [None] once stopped *)
   reactor : Dex_runtime.Reactor.t;
   owns_reactor : bool;
   mutable timer : Dex_runtime.Reactor.timer option;
 }
 
-let sync_pending s = if s.running && unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal)
+(* Whether records may be pending, without waiting for the WAL lock: a
+   held lock is an fsync or an append under way, and a kick then costs the
+   syncer one more look. *)
+let may_have_unsynced (t : t) =
+  if Mutex.try_lock t.lock then begin
+    let u = t.next_lsn - 1 - t.durable in
+    Mutex.unlock t.lock;
+    u > 0
+  end
+  else true
 
-let kick s = Dex_runtime.Reactor.post s.reactor (fun () -> sync_pending s)
+let kick_syncer s =
+  Mutex.lock s.m;
+  if not s.kicked then begin
+    s.kicked <- true;
+    Condition.signal s.wake
+  end;
+  Mutex.unlock s.m
+
+(* The syncer thread: park until kicked, then one fsync covering whatever
+   is pending, its watermark to [on_durable]. *)
+let rec sync_loop s =
+  Mutex.lock s.m;
+  while s.running && not s.kicked do
+    Condition.wait s.wake s.m
+  done;
+  let running = s.running in
+  s.kicked <- false;
+  Mutex.unlock s.m;
+  if running then begin
+    if unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal);
+    sync_loop s
+  end
 
 let syncer ?(delay = 0.001) ?(cap = 64) ?reactor wal ~on_durable =
   if delay <= 0.0 then invalid_arg "Wal.syncer: delay must be > 0";
@@ -439,32 +481,40 @@ let syncer ?(delay = 0.001) ?(cap = 64) ?reactor wal ~on_durable =
     | Some r -> (false, r)
     | None -> (true, Dex_runtime.Reactor.create ~name:"wal-syncer" ())
   in
-  let s = { s_wal = wal; cap; on_durable; running = true; reactor; owns_reactor; timer = None } in
-  s.timer <- Some (Dex_runtime.Reactor.every reactor delay (fun () -> sync_pending s));
+  let s =
+    { s_wal = wal; cap; on_durable; m = Mutex.create (); wake = Condition.create ();
+      kicked = false; running = true; thread = None; reactor; owns_reactor; timer = None }
+  in
+  s.thread <- Some (Thread.create sync_loop s);
+  s.timer <-
+    Some
+      (Dex_runtime.Reactor.every reactor delay (fun () ->
+           if may_have_unsynced wal then kick_syncer s));
   s
 
 let syncer_append s payload =
-  let lsn = append s.s_wal payload in
-  if unsynced s.s_wal >= s.cap then kick s;
+  let lsn, unsynced = append_counted s.s_wal payload in
+  if unsynced >= s.cap then kick_syncer s;
   lsn
 
-let kick_syncer s = if s.running then kick s
-
-let halt_driver s =
-  Option.iter (Dex_runtime.Reactor.cancel s.reactor) s.timer;
-  s.timer <- None;
-  if s.owns_reactor then Dex_runtime.Reactor.stop s.reactor
-
-let stop_syncer s =
-  if s.running then begin
+(* Cancel the cadence, then stop and join the thread: once this returns, no
+   fsync of the syncer is in flight and no [on_durable] will run. *)
+let halt s =
+  match s.thread with
+  | None -> false
+  | Some thread ->
+    s.thread <- None;
+    Option.iter (Dex_runtime.Reactor.cancel s.reactor) s.timer;
+    s.timer <- None;
+    if s.owns_reactor then Dex_runtime.Reactor.stop s.reactor;
+    Mutex.lock s.m;
     s.running <- false;
-    halt_driver s;
-    if unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal)
-  end
+    Condition.signal s.wake;
+    Mutex.unlock s.m;
+    Thread.join thread;
+    true
 
-let abandon_syncer s =
-  (* Crash simulation: stop the driver without the final sync. *)
-  if s.running then begin
-    s.running <- false;
-    halt_driver s
-  end
+let stop_syncer s = if halt s && unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal)
+
+(* Crash simulation: stop and join the syncer without the final sync. *)
+let abandon_syncer s = ignore (halt s)

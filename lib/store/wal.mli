@@ -18,8 +18,9 @@
     at least every [delay] seconds while records are pending) and a size cap
     (an append that finds [cap] records unsynced kicks the syncer
     immediately) — the fsync analogue of the service batcher. One fsync
-    covers the whole group; the callback reports the new watermark so the
-    caller can release acknowledgements.
+    covers the whole group, on the syncer's own thread, off the appender's;
+    the callback reports the new watermark so the caller can release
+    acknowledgements.
 
     {b Crash tolerance:} {!open_} scans the segment chain and recovers the
     longest valid prefix: a torn or truncated tail record (a crash mid-write)
@@ -58,9 +59,11 @@ val open_ :
     reads the same registry back.
 
     [preallocate] (default [true]) extends each segment to [segment_bytes]
-    at creation (ftruncate-ahead) so the group-commit fsync never pays block
-    allocation or an inode size extension on the latency path; rotation and
-    {!close} trim the file back to its logical size. Recovery tells the
+    at creation (ftruncate-ahead), so an append never grows the inode's
+    size; rotation and {!close} trim the file back to its logical size. The
+    extension is sparse, so it does not save block allocation: the
+    filesystem allocates blocks as appended data is written back, which the
+    group-commit fsync still pays. Recovery tells the
     zero-filled preallocated tail apart from a torn record (an all-zero
     frame header is unforgeable — a length-0 record checksums to the
     nonzero FNV-64 basis) and does not report it as [torn].
@@ -123,10 +126,15 @@ val syncer :
     [on_durable] is called with each new watermark — release
     acknowledgements there.
 
-    The cadence runs as a periodic timer on [reactor] — fsync and
-    [on_durable] execute on its loop thread — and the size cap posts an
-    immediate sync there. Without [reactor] the syncer creates a private
-    loop, stopped by {!stop_syncer} or {!abandon_syncer}. *)
+    Every fsync runs on the syncer's own thread, parked on a condition
+    variable between groups, and [on_durable] runs on that thread too: it
+    must not wait on the appender (post the watermark to the appender's
+    loop instead). The cadence is a periodic timer on [reactor] that only
+    looks for unsynced records and wakes the thread; it never fsyncs nor
+    waits for the WAL lock, so the timer never blocks a lent loop on the
+    disk, though an {!append} still waits for the lock while an fsync
+    holds it. Without [reactor] the syncer creates a private loop for the
+    timer, stopped by {!stop_syncer} or {!abandon_syncer}. *)
 
 val syncer_append : syncer -> string -> int
 (** {!append} through the group-commit path (kicks the syncer at the size
@@ -137,16 +145,19 @@ val kick_syncer : syncer -> unit
     latency cap — the fsync analogue of an explicit flush. Persist-before-
     reply callers kick as soon as a reply is gated on the durable watermark,
     so the reply pays one prompt fsync (covering its whole group) instead of
-    the remainder of the [delay] window. No-op when nothing is pending. *)
+    the remainder of the [delay] window. Only signals the syncer thread:
+    never blocks on the disk. No-op when nothing is pending. *)
 
 val stop_syncer : syncer -> unit
-(** Stop the cadence (cancelling the timer, and stopping a private loop),
-    then a final sync with its [on_durable] on the calling thread.
-    Idempotent. *)
+(** Cancel the cadence (stopping a private loop), wake and join the syncer
+    thread — an fsync in flight completes first — then a final sync with
+    its [on_durable] on the calling thread. Once it returns, the thread's
+    last [on_durable] has returned. Idempotent. *)
 
 val abandon_syncer : syncer -> unit
-(** Crash simulation: stop the driver {e without} the final sync (pair with
-    {!abandon}). Idempotent. *)
+(** Crash simulation: cancel the cadence and join the syncer thread like
+    {!stop_syncer}, but {e without} the final sync (pair with {!abandon}).
+    Idempotent. *)
 
 (** {2 Shared helpers} *)
 

@@ -165,6 +165,26 @@ let test_lane_gate_and_release () =
   Alcotest.(check int) "queued reply delivered" 2 (List.length !got);
   Durability_lane.stop lane
 
+(* A watermark that reaches the lane after [stop] or [crash] — one the
+   syncer posted to the replica's loop before its join — releases nothing,
+   even the reply it covers. *)
+let test_lane_closed_releases_nothing () =
+  List.iter
+    (fun (what, close) ->
+      let lane, _ =
+        Durability_lane.create ~dir:(fresh_dir ()) ~segment_bytes:4096
+          ~metrics:(Registry.create ()) ()
+      in
+      let lsn = Durability_lane.append lane "r1" in
+      let got = ref 0 in
+      let reply ~client:_ ~rid:_ _ = incr got in
+      Durability_lane.gate lane ~client:1 ~rid:1 ~lsn:(lsn + 1) Wire.Busy ~reply;
+      close lane;
+      Alcotest.(check bool) (what ^ ": watermark ignored") false
+        (Durability_lane.release_up_to lane ~watermark:(lsn + 1) ~reply);
+      Alcotest.(check int) (what ^ ": no reply released") 0 !got)
+    [ ("stop", Durability_lane.stop); ("crash", Durability_lane.crash) ]
+
 let test_lane_capture_cadence () =
   let metrics = Registry.create () in
   let dir = fresh_dir () in
@@ -658,6 +678,8 @@ let () =
         [
           Alcotest.test_case "inert without dir" `Quick test_lane_inert;
           Alcotest.test_case "gate and release" `Quick test_lane_gate_and_release;
+          Alcotest.test_case "closed lane releases nothing" `Quick
+            test_lane_closed_releases_nothing;
           Alcotest.test_case "capture cadence + recovery" `Quick test_lane_capture_cadence;
         ] );
       ( "catch-up",

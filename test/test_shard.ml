@@ -205,6 +205,28 @@ let test_two_shards_reactor () =
         true
         (applied >= committed && applied <= issued))
 
+(* A healthy group answers every request: those still out when the load
+   window closes are collected afterwards, so none counts as failed. The
+   16 clients' requests tend to ride one batch, so whether a window closes
+   with all of them out varies from run to run: three windows. *)
+let test_healthy_run_fails_none () =
+  let map = Shard_map.create ~shards:1 () in
+  let cfg = S.config ~pair:(fun _ -> freq4) ~n:4 ~t:0 () in
+  with_group_set ~map cfg (fun g ->
+      let r = Router.connect ~map ~client:1 (Array.to_list (G.ports g)) in
+      Fun.protect ~finally:(fun () -> Router.close r) @@ fun () ->
+      for window = 1 to 3 do
+        let report =
+          Router.Load.run_many ~clients:16 ~duration:0.3 r (fun _ -> Sm.Add ("k", 1))
+        in
+        let agg = report.Router.Load.agg in
+        let what s = Printf.sprintf "window %d: %s" window s in
+        Alcotest.(check bool) (what "committed work") true (agg.Client.Load.committed > 0);
+        Alcotest.(check int) (what "no failed requests") 0 agg.Client.Load.failed;
+        Alcotest.(check int) (what "every issued request committed") agg.Client.Load.issued
+          agg.Client.Load.committed
+      done)
+
 (* Data-dir layout: with k > 1 shard i persists under <data_dir>/shard-<i>;
    a one-group set persists under <data_dir> itself, where an unsharded
    deployment always has. Either way a replica killed and restarted inside
@@ -239,6 +261,15 @@ let test_data_dirs_and_restart ~shards () =
       let restarted = G.restart_replica g ~shard:0 0 in
       Alcotest.(check bool) "restart replayed slots from disk" true
         ((S.stats restarted).S.recovered_slots > 0);
+      (* In an n=4 t=0 group every replica is needed: let the restarted one
+         finish catching up (the gate opens by [catchup_grace] = 2 s at the
+         latest) before the load window, which catch-up would otherwise
+         eat under CPU contention. *)
+      let deadline = Unix.gettimeofday () +. 3.0 in
+      while S.catching_up restarted && Unix.gettimeofday () < deadline do
+        Thread.delay 0.02
+      done;
+      Alcotest.(check bool) "caught up within grace + 1 s" false (S.catching_up restarted);
       let report = Router.Load.run_many ~clients:8 ~duration:0.8 r (fun _ -> Sm.Add ("k", 1)) in
       Router.close r;
       Thread.delay 0.5;
@@ -268,6 +299,7 @@ let () =
       ( "deployment",
         [
           Alcotest.test_case "two shards, reactor io" `Quick test_two_shards_reactor;
+          Alcotest.test_case "healthy run fails none" `Quick test_healthy_run_fails_none;
           Alcotest.test_case "per-shard data dirs, restart" `Quick
             (test_data_dirs_and_restart ~shards:2);
           Alcotest.test_case "one-group data dir, restart" `Quick

@@ -243,6 +243,58 @@ let test_wal_abandon_syncer () =
   Alcotest.(check (list string)) "unsynced group lost" [] o2.Wal.entries;
   Wal.close o2.Wal.wal
 
+(* The syncer's lifecycle under a lent loop that does the appends, as a
+   replica's loop does: [on_durable] runs on the syncer's own thread,
+   neither the appender's loop nor the caller's; [stop_syncer] joins that
+   thread and then does the final sync on the caller's thread;
+   [abandon_syncer] joins it without a sync. The thread's first callback
+   is held for 100 ms, so a stop that did not join would return while the
+   callback still runs. *)
+let syncer_lifecycle ~abandon () =
+  let module Reactor = Dex_runtime.Reactor in
+  let dir = fresh_dir () in
+  let o = Wal.open_ dir in
+  let loop = Reactor.create ~name:"appender" () in
+  let main = Thread.id (Thread.self ()) in
+  let mu = Mutex.create () in
+  let events = ref [] in
+  let note e = Mutex.protect mu (fun () -> events := e :: !events) in
+  let on_durable w =
+    if Reactor.on_loop loop then note (Printf.sprintf "on appender loop %d" w)
+    else if Thread.id (Thread.self ()) = main then note (Printf.sprintf "final %d" w)
+    else begin
+      note (Printf.sprintf "enter %d" w);
+      Thread.delay 0.1;
+      note (Printf.sprintf "exit %d" w)
+    end
+  in
+  let s = Wal.syncer ~delay:60.0 ~cap:1_000_000 ~reactor:loop o.Wal.wal ~on_durable in
+  Reactor.call loop (fun () ->
+      ignore (Wal.syncer_append s "a");
+      Wal.kick_syncer s);
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Mutex.protect mu (fun () -> !events = []) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Reactor.call loop (fun () -> ignore (Wal.syncer_append s "b"));
+  if abandon then Wal.abandon_syncer s else Wal.stop_syncer s;
+  let seen = Mutex.protect mu (fun () -> List.rev !events) in
+  Reactor.stop loop;
+  if abandon then begin
+    Alcotest.(check (list string)) "joined, no final sync" [ "enter 1"; "exit 1" ] seen;
+    Alcotest.(check int) "second record not durable" 1 (Wal.durable_lsn o.Wal.wal);
+    Wal.abandon o.Wal.wal;
+    let o2 = Wal.open_ dir in
+    Alcotest.(check (list string)) "only the synced record survives" [ "a" ] o2.Wal.entries;
+    Wal.close o2.Wal.wal
+  end
+  else begin
+    Alcotest.(check (list string)) "joined, then the final sync" [ "enter 1"; "exit 1"; "final 2" ]
+      seen;
+    Alcotest.(check int) "both records durable" 2 (Wal.durable_lsn o.Wal.wal);
+    Wal.close o.Wal.wal
+  end
+
 let file_size path = (Unix.stat path).Unix.st_size
 
 let test_wal_preallocation_sizes () =
@@ -412,6 +464,8 @@ let () =
           Alcotest.test_case "truncate below" `Quick test_wal_truncate_below;
           Alcotest.test_case "group commit" `Quick test_wal_group_commit;
           Alcotest.test_case "abandoned syncer loses group" `Quick test_wal_abandon_syncer;
+          Alcotest.test_case "syncer thread, stop" `Quick (syncer_lifecycle ~abandon:false);
+          Alcotest.test_case "syncer thread, abandon" `Quick (syncer_lifecycle ~abandon:true);
           Alcotest.test_case "preallocation sizes" `Quick test_wal_preallocation_sizes;
           Alcotest.test_case "preallocated crash tail" `Quick test_wal_preallocated_crash_tail;
         ] );
