@@ -328,10 +328,10 @@ let proto_rows () =
 
 (* Sharded service scaling: the same loopback box, the keyspace split over
    k = 1, 2, 4, 8 consensus groups behind one shared runtime and a shard
-   router, 64 closed-loop clients per shard. On a multi-core host the groups
-   commit in parallel and the aggregate should scale until the cores run
-   out; on a single core the family measures the sharding overhead instead
-   (see EXPERIMENTS.md E18). *)
+   router, 64 closed-loop clients per shard. Every group runs on the set's
+   one loop, in one OCaml domain, so the groups never commit in parallel
+   and the family measures the sharding overhead against the per-group
+   one-step gain (see EXPERIMENTS.md E18). *)
 module GSet = Dex_shard.Group_set.Make (Dex_core.Dex.Lane (Uc_oracle))
 
 let shard_scaling_rows () =

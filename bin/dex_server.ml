@@ -93,8 +93,24 @@ let roles_of opts p =
 
 let comma_ints l = String.concat "," (List.map string_of_int l)
 
-let scratch_dir name =
-  Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "dex-%s-%d" name (Unix.getpid ()))
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* Run [f] on the gate's data dir: the [--data-dir] the user passed, kept
+   as it is, or else a fresh one in the temp dir, removed when the gate
+   ends whatever its verdict — a leftover one would hand its WAL to a later
+   run. *)
+let with_data_dir opts gate f =
+  match opts.data_dir with
+  | Some dir -> f dir
+  | None ->
+    let dir = Filename.temp_dir (Printf.sprintf "dex-%s-" gate) "" in
+    Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ()) (fun () -> f dir)
 
 let verdict gate failures ok : outcome =
   match failures with
@@ -419,7 +435,7 @@ module Run (L : PL.LANE) = struct
           report.Router.Load.agg.Load.committed opts.shards)
 
   let restart opts =
-    let data_dir = Option.value opts.data_dir ~default:(scratch_dir "restart") in
+    with_data_dir opts "restart" @@ fun data_dir ->
     let opts = { opts with data_dir = Some data_dir } in
     if opts.kill < 0 || opts.kill >= opts.n then failwith "restart: --kill pid out of range";
     if List.mem opts.kill opts.mute || List.mem opts.kill opts.equivocate then
@@ -588,7 +604,7 @@ module Run (L : PL.LANE) = struct
             replica loses its churn wrapper"
            (comma_ints clash)));
     (* Crash-restart recovers from disk: default to a scratch data dir. *)
-    let base_dir = Option.value opts.data_dir ~default:(scratch_dir "gauntlet") in
+    with_data_dir opts "gauntlet" @@ fun base_dir ->
     Printf.printf
       "gauntlet: %s duration=%.1fs plan=%s (%d rules, %d cuts, %d storm, %d churn; seed %d; \
        chaos on shard 0)\n%!"

@@ -3,14 +3,13 @@ open Dex_net
 
 type decision = { value : Value.t; tag : string; wall : float }
 
-(* One run of a node: its instance and the loop it runs on. Every callback
-   the incarnation schedules — a frame, a timer, a self-send — checks
-   [live] on the loop first, so whatever a stopped incarnation left behind
-   is a tombstone, never a call into its successor. *)
+(* One run of a node. Every callback the incarnation schedules — a frame,
+   a timer, a self-send — checks [live] on the loop first, so whatever a
+   stopped incarnation left behind is a tombstone, never a call into its
+   successor. *)
 type 'msg incarnation = {
   pid : Pid.t;
   instance : 'msg Protocol.instance;
-  loop : Reactor.t;
   live : bool Atomic.t;
 }
 
@@ -24,30 +23,26 @@ type 'msg t = {
   decisions_mutex : Mutex.t;
   decided_cond : Condition.t;  (** signalled under [decisions_mutex] on every new decision *)
   lifecycle_mutex : Mutex.t;  (** serializes start/stop/shutdown transitions *)
-  reactor : Reactor.t;  (** the default node loop; also runs await deadlines *)
+  reactor : Reactor.t;  (** every node's loop; also runs await deadlines *)
   owns_reactor : bool;
   mutable running : bool;
   mutable started : bool;
   mutable epoch : float;
 }
 
-let incarnation ~pid ~instance ~loop = { pid; instance; loop; live = Atomic.make false }
+let incarnation ~pid ~instance = { pid; instance; live = Atomic.make false }
 
-let create ~transport ~n ?(extra = []) ?reactor ?loop_for make_instance =
+let create ~transport ~n ?(extra = []) ?reactor make_instance =
   let owns_reactor, reactor =
     match reactor with
     | Some r -> (false, r)
     | None -> (true, Reactor.create ~name:"cluster" ())
   in
   let instances = List.map (fun p -> (p, make_instance p)) (Pid.all ~n) @ extra in
-  let loop_of pid = Option.value (Option.bind loop_for (fun f -> f pid)) ~default:reactor in
   {
     transport;
     n;
-    nodes =
-      List.map
-        (fun (pid, instance) -> (pid, { inc = incarnation ~pid ~instance ~loop:(loop_of pid) }))
-        instances;
+    nodes = List.map (fun (pid, instance) -> (pid, { inc = incarnation ~pid ~instance })) instances;
     decisions = Array.make n None;
     decisions_mutex = Mutex.create ();
     decided_cond = Condition.create ();
@@ -69,19 +64,19 @@ let record_decision t ~pid ~value ~tag =
 
 (* The runtime interprets actions through the same {!Effects} interpreter as
    the simulator; only the three primitives differ. A send to oneself and a
-   timer are local events: they are posted on the incarnation's own loop
-   and never cross the transport (nor its fault plan). Causal depth is not
-   tracked against the wall clock, so the handler ignores it. *)
+   timer are local events: they are posted on the loop and never cross the
+   transport (nor its fault plan). Causal depth is not tracked against the
+   wall clock, so the handler ignores it. *)
 let rec handler t inc =
   {
     Effects.send =
       (fun ~src:_ ~depth:_ ~dst ~payload ->
-        if Pid.equal dst inc.pid then Reactor.post inc.loop (fun () -> run t inc ~from:dst payload)
+        if Pid.equal dst inc.pid then Reactor.post t.reactor (fun () -> run t inc ~from:dst payload)
         else t.transport.Transport.send ~src:inc.pid ~dst payload);
     decide = (fun ~pid ~depth:_ ~value ~tag -> record_decision t ~pid ~value ~tag);
     set_timer =
       (fun ~src:_ ~depth:_ ~delay ~msg ->
-        ignore (Reactor.after inc.loop delay (fun () -> run t inc ~from:inc.pid msg)));
+        ignore (Reactor.after t.reactor delay (fun () -> run t inc ~from:inc.pid msg)));
   }
 
 and run t inc ~from msg =
@@ -91,16 +86,16 @@ and run t inc ~from msg =
       (inc.instance.Protocol.on_message ~now ~from msg)
 
 (* The delivery hook, on the transport's thread: post the frame on the
-   node's loop. The endpoint calls its hook one frame at a time and the
-   posted queue is FIFO, so frames run in arrival order. *)
-let enqueue t inc from msg = Reactor.post inc.loop (fun () -> run t inc ~from msg)
+   loop. The endpoint calls its hook one frame at a time and the posted
+   queue is FIFO, so frames run in arrival order. *)
+let enqueue t inc from msg = Reactor.post t.reactor (fun () -> run t inc ~from msg)
 
 (* [start] is posted before the hook goes in, so it runs before any frame —
    including frames that reached the endpoint before the hook existed,
    which the transport hands over on installation. *)
 let launch t inc =
   Atomic.set inc.live true;
-  Reactor.post inc.loop (fun () ->
+  Reactor.post t.reactor (fun () ->
       if Atomic.get inc.live then
         Effects.execute (handler t inc) ~self:inc.pid ~depth:0 (inc.instance.Protocol.start ()));
   t.transport.Transport.deliver ~me:inc.pid (Some (enqueue t inc))
@@ -129,15 +124,15 @@ let stop_node t pid =
         retire t inc;
         (* A barrier: a callback that saw [live] before it dropped finishes
            before this returns; every later one is a tombstone. *)
-        Reactor.call inc.loop ignore
+        Reactor.call t.reactor ignore
       end)
 
-let start_node t pid ~loop instance =
+let start_node t pid instance =
   Mutex.protect t.lifecycle_mutex (fun () ->
       if not t.running then invalid_arg "Cluster.start_node: cluster not running";
       let node = find_node t pid in
       if Atomic.get node.inc.live then invalid_arg "Cluster.start_node: node is running";
-      node.inc <- incarnation ~pid ~instance ~loop;
+      node.inc <- incarnation ~pid ~instance;
       launch t node.inc)
 
 let decisions t = Mutex.protect t.decisions_mutex (fun () -> Array.copy t.decisions)
@@ -183,14 +178,8 @@ let shutdown t =
   Mutex.protect t.lifecycle_mutex (fun () ->
       if t.running then begin
         t.running <- false;
-        let loops =
-          List.fold_left
-            (fun acc (_, node) ->
-              retire t node.inc;
-              if List.memq node.inc.loop acc then acc else node.inc.loop :: acc)
-            [] t.nodes
-        in
-        List.iter (fun loop -> Reactor.call loop ignore) loops;
+        List.iter (fun (_, node) -> retire t node.inc) t.nodes;
+        Reactor.call t.reactor ignore;
         t.transport.Transport.close ();
         if t.owns_reactor then Reactor.stop t.reactor;
         (* Wake waiters in [await]: no further decision can arrive. *)

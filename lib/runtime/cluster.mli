@@ -1,17 +1,17 @@
 (** Loop-driven execution of protocol instances.
 
     Runs the {e same} [Protocol.instance] values as the discrete-event
-    simulator, but on {!Reactor} loops over a real transport: each node runs
-    on one loop (its own, or a loop shared with other nodes), and every
-    callback of a node — an inbound frame, a timer, a message to itself —
-    runs there, one at a time, as the paper's sequential process does.
-    Inbound frames arrive through the transport's per-pid delivery hook; a
-    timer is a {!Reactor.after} on the node's loop and a send to oneself is
-    posted on it, so neither crosses the transport or its fault plan.
+    simulator, but on one {!Reactor} loop over a real transport: every
+    callback of every node — an inbound frame, a timer, a message to itself
+    — runs on that loop, one at a time, so each node is the paper's
+    sequential process. Inbound frames arrive through the transport's
+    per-pid delivery hook; a timer is a {!Reactor.after} on the loop and a
+    send to oneself is posted on it, so neither crosses the transport or
+    its fault plan.
     Decisions are collected centrally. This is the "deployment-shaped" lane
     of the reproduction — the simulator answers step-count questions
-    deterministically, the cluster demonstrates the stack running under true
-    concurrency (and feeds the wall-clock benches). *)
+    deterministically, the cluster demonstrates the stack running over real
+    sockets and wall-clock timers (and feeds the wall-clock benches). *)
 
 open Dex_vector
 open Dex_net
@@ -25,35 +25,31 @@ val create :
   n:int ->
   ?extra:(Pid.t * 'msg Protocol.instance) list ->
   ?reactor:Reactor.t ->
-  ?loop_for:(Pid.t -> Reactor.t option) ->
   (Pid.t -> 'msg Protocol.instance) ->
   'msg t
 (** Build a cluster of [n] protocol processes (pids [0 .. n-1]) plus
-    auxiliary nodes. Nothing runs until {!start}. [loop_for pid] (asked
-    once per node, after every instance is built) names the loop a node
-    runs on; nodes it leaves out run on [reactor] when given, else on a
-    private loop stopped by {!shutdown}, which also runs {!await}
-    deadlines. Loops passed in are borrowed, never stopped here. *)
+    auxiliary nodes. Nothing runs until {!start}. Every node runs on
+    [reactor] when given (borrowed, never stopped here), else on a private
+    loop stopped by {!shutdown}; the same loop runs {!await} deadlines. *)
 
 val start : 'msg t -> unit
 (** Install every node's delivery hook and run every instance's [start] on
-    its loop. *)
+    the loop. *)
 
 val stop_node : 'msg t -> Pid.t -> unit
 (** Kill one node. Returns once no callback of the killed incarnation can
-    run any more: one already running on its loop has finished, and its
+    run any more: one already running on the loop has finished, and its
     pending frames, timers and self-sends are tombstones. Traffic that
     reaches its endpoint while it is down is dropped. The transport endpoint
     stays up, so peers keep their links. The crash half of a single-node
     restart. No-op if the node is already stopped.
     @raise Invalid_argument on an unknown pid. *)
 
-val start_node : 'msg t -> Pid.t -> loop:Reactor.t -> 'msg Protocol.instance -> unit
+val start_node : 'msg t -> Pid.t -> 'msg Protocol.instance -> unit
 (** Restart a stopped node with a {e fresh} instance (typically rebuilt from
-    durable state) on [loop], invoking the instance's [start]. The caller
-    names the loop: the previous incarnation's may have stopped with it.
-    It sees no traffic from while it was down — the new instance is
-    expected to recover out of band.
+    durable state), invoking the instance's [start] on the loop. It sees no
+    traffic from while it was down — the new instance is expected to
+    recover out of band.
     @raise Invalid_argument on an unknown pid, a node that is still running,
     or a cluster that is not running. *)
 

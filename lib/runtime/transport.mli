@@ -133,15 +133,18 @@ module Tcp_codec : sig
       budget runs on reactor timers, the link counters of a failed send
       settle after [send] returns.
 
-      [reactor_for] (default: everything on [reactor]) names the loop that
-      owns each local endpoint's sockets: [reactor_for pid] reads and
-      decodes pid's inbound frames (so pid's delivery hook runs there) and
-      owns the outbound connections pid starts. A node that runs on its own
-      pid's loop therefore receives without a thread handoff, and its sends
-      batch: a frame sent from the loop that owns the connection is
-      buffered, and one flush per connection is posted for the end of that
-      loop turn, so a step's frames to one peer leave in one [write]. A
-      frame sent from any other thread is written at once. Reconnect
-      backoff timers stay on [reactor]; every loop is borrowed, never
-      stopped. *)
+      The loop that owns a connection reads and decodes its frames (so the
+      delivery hook runs there) and batches its sends: a frame sent from
+      that loop is buffered, and one flush per connection is posted for the
+      end of the loop turn, so a turn's frames to one peer leave in one
+      [write]. A frame sent from any other thread is written at once. By
+      default [reactor] owns every socket, which is how the service runs:
+      its nodes run on [reactor] too, so they receive without a thread
+      handoff and every send batches.
+
+      [reactor_for pid] instead names the loop that owns pid's inbound
+      listener and connections and the outbound connections pid starts.
+      Only meshes that spread pids over several loops pass it — the traced
+      mesh in [perfbench/deploy.ml], and tests. Reconnect backoff timers
+      stay on [reactor]; every loop is borrowed, never stopped. *)
 end

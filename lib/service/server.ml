@@ -18,10 +18,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     cfg : config;
     transport : smsg Transport.t;
     loop : Reactor.t;
-        (* the replica's loop: consensus, peer sockets, clients, timers and
-           the WAL's fsync cadence; the deployment's, so a restart lands on
-           it. The fsyncs themselves run on the WAL syncer's own thread,
-           which posts each watermark here. *)
+        (* the deployment's one loop: this replica's consensus, clients,
+           timers and WAL fsync cadence run there beside every other node,
+           and a restart lands on it. The fsyncs themselves run on the WAL
+           syncer's own thread, which posts each watermark here. *)
     conns : (int, Reactor.Conn.t) Hashtbl.t;  (* client -> latest reply connection *)
     dirty : (Unix.file_descr, Reactor.Conn.t) Hashtbl.t;
         (* connections with unpumped replies, pumped once per step: one
@@ -175,7 +175,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     Reactor.on_readable r sock (accept_ready t sock);
     bound
 
-  (* Runs on the replica's loop: cancel the service timers, close the
+  (* Runs on the loop: cancel the service timers, close the
      listener and every client connection. *)
   let stop_service t =
     let r = t.loop in
@@ -197,9 +197,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       t.client_conns <- []
     end
 
-  (* Service and WAL go down on the replica's own loop, so nothing of the
-     replica runs beside the teardown. The loop stays up: it still serves
-     the pid's transport endpoint, and a restart runs on it. *)
+  (* Service and WAL go down on the loop, so nothing of the replica runs
+     beside the teardown. The loop stays up: it still serves the pid's
+     transport endpoint and the other nodes, and a restart runs on it. *)
   let teardown t close_wal =
     Reactor.call t.loop (fun () ->
         stop_service t;
@@ -211,8 +211,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
 
   (* ------------------------------ observation ----------------------------- *)
 
-  (* Getters for other threads: each reads on the replica's loop (or
-     directly once that loop has stopped). *)
+  (* Getters for other threads: each reads on the loop (or directly once
+     the loop has stopped). *)
   let on_loop t f = Reactor.call t.loop (fun () -> f t.replica)
 
   let stats t = on_loop t R.stats
@@ -281,50 +281,35 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
 
   (* ------------------------------ deployment ------------------------------ *)
 
-  (* The loopback mesh a deployment (or a whole group set) runs on: a
-     primary [mesh] loop, whose gauges land in [net_metrics] and which hosts
-     the transport's reconnect timers and the nodes that are not replicas,
-     plus one loop per replica index. Global pid [p] is replica
-     [p mod stride] of group [p / stride]; every group's replica [j] reads
-     its frames and owns its outbound connections on loop [j], where its
-     consensus runs too, so a peer frame never changes threads and a step's
-     frames to one peer leave in one [write] at the end of the loop turn. *)
-  type mesh = {
-    mesh_transport : smsg Transport.t;
-    mesh_loop : Reactor.t;
-    replica_loops : Reactor.t array;
-    loop_metrics : Registry.t array;
-  }
+  (* The loopback mesh a deployment (or a whole group set) runs on: one
+     loop, whose gauges land in [net_metrics]. Every node — every replica
+     of every group, the UC auxiliaries, mute and equivocating nodes — runs
+     there, with every socket and the transport's timers, so a peer frame
+     never changes threads and a turn's frames to one peer leave in one
+     [write] at the end of the turn. *)
+  type mesh = { mesh_transport : smsg Transport.t; mesh_loop : Reactor.t }
 
-  let loop_per_replica n =
-    let metrics = Array.init n (fun _ -> Registry.create ()) in
-    let loops =
-      Array.init n (fun j ->
-          Reactor.create ~metrics:metrics.(j) ~name:(Printf.sprintf "replica-%d" j) ())
-    in
-    (loops, metrics)
-
-  let mesh ?faults ~net_metrics ~replicas ~stride ~groups () =
+  let mesh ?faults ~net_metrics ~nodes () =
     let mesh_loop = Reactor.create ~metrics:net_metrics ~name:"mesh" () in
-    let loops, loop_metrics = loop_per_replica replicas in
-    let reactor_for pid = if pid mod stride < replicas then loops.(pid mod stride) else mesh_loop in
     let mesh_transport =
       Transport.Tcp_codec.create ~codec:smsg_codec ~metrics:net_metrics ?faults ~reactor:mesh_loop
-        ~reactor_for ~pids:(List.init (groups * stride) Fun.id) ()
+        ~pids:(List.init nodes Fun.id) ()
     in
-    { mesh_transport; mesh_loop; replica_loops = loops; loop_metrics }
+    { mesh_transport; mesh_loop }
+
+  type no_loop = |
 
   (* A runtime lent to a deployment instead of letting [launch] build its
      own: a pid-namespaced transport view onto a bigger shared mesh
-     ({!Transport.offset}), the registry that mesh reports into, the mesh
-     loop, and a selector giving each replica index its loop. Everything
-     here is borrowed — the lender (a sharded group set) stops loops and
-     closes the real mesh after every borrowing deployment is down. *)
+     ({!Transport.offset}), the registry that mesh reports into and the
+     mesh loop. Everything here is borrowed — the lender (a sharded group
+     set) stops the loop and closes the real mesh after every borrowing
+     deployment is down. *)
   type shared_runtime = {
     sr_transport : smsg Transport.t;
     sr_net_metrics : Registry.t;
     sr_net_reactor : Reactor.t option;
-    sr_service_loop_for : (Pid.t -> Reactor.t) option;
+    sr_service_loop_for : no_loop option;
   }
 
   type deployment = {
@@ -333,16 +318,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     transport : smsg Transport.t;
     net_metrics : Registry.t;
         (* deployment-wide registry holding the transport's [net/*] counters *)
-    net_reactor : Reactor.t option;
-        (* the primary mesh loop, shared by the transport's timers and the
-           nodes that are not replicas; a lent runtime may supply none *)
-    loops : Reactor.t array;
-        (* replica pid's loop; a restart lands on the same one *)
-    loop_metrics : Registry.t array;
-        (* [reactor/*] gauges of [loops], when [launch] built them *)
-    owned_loops : Reactor.t list;
-        (* the loops [launch] built, stopped by [shutdown]; none when a
-           lender supplies them *)
+    loop : Reactor.t;
+        (* the one loop every node runs on; a restart lands on it too *)
+    owns_loop : bool;  (* whether [shutdown] stops [loop] *)
     mutable servers : (Pid.t * t) list;
     ports : (Pid.t * int) list;
     mutable dead : (Pid.t * t) list;
@@ -365,16 +343,13 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
               inst ))
         (Log.extra lcfg)
     in
-    let pids = Pid.all ~n:cfg.n @ List.map fst extra in
-    let net_metrics, net_reactor, transport, loops, loop_metrics, owned_loops =
+    let nodes = cfg.n + List.length extra in
+    let net_metrics, loop, owns_loop, transport =
       match runtime with
       | None ->
         let net_metrics = Registry.create () in
-        let m =
-          mesh ?faults:chaos ~net_metrics ~replicas:cfg.n ~stride:(List.length pids) ~groups:1 ()
-        in
-        ( net_metrics, Some m.mesh_loop, m.mesh_transport, m.replica_loops, m.loop_metrics,
-          m.mesh_loop :: Array.to_list m.replica_loops )
+        let m = mesh ?faults:chaos ~net_metrics ~nodes () in
+        (net_metrics, m.mesh_loop, true, m.mesh_transport)
       | Some rt ->
         (* Borrowed mesh: wrap only this deployment's pid-namespaced view
            with the fault plan, so chaos on one shard never touches the
@@ -384,22 +359,17 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           | Some plan -> Transport.with_faults plan rt.sr_transport
           | None -> rt.sr_transport
         in
-        let loops, loop_metrics, owned_loops =
-          match rt.sr_service_loop_for with
-          | Some f -> (Array.init cfg.n f, [||], [])
-          | None ->
-            let loops, metrics = loop_per_replica cfg.n in
-            (loops, metrics, Array.to_list loops)
+        let loop, owns_loop =
+          match rt.sr_net_reactor with
+          | Some loop -> (loop, false)
+          | None -> (Reactor.create ~name:"deployment" (), true)
         in
-        (rt.sr_net_metrics, rt.sr_net_reactor, transport, loops, loop_metrics, owned_loops)
+        (rt.sr_net_metrics, loop, owns_loop, transport)
     in
     let servers = ref [] in
     let churn_cells = ref [] in
-    (* Each replica's consensus runs on its own loop; the other
-       nodes (UC auxiliaries, mute and equivocating replicas) run on the
-       mesh loop. *)
     let make p =
-      let new_replica () = replica cfg ~me:p ~transport ~loop:loops.(p) in
+      let new_replica () = replica cfg ~me:p ~transport ~loop in
       match roles p with
       | Correct ->
         let t, inst = new_replica () in
@@ -419,11 +389,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         churn_cells := (p, cell) :: !churn_cells;
         Adversary.churn ~mode:(fun ~step:_ -> !cell) inst
     in
-    let cluster =
-      Cluster.create ~transport ~n:cfg.n ~extra ?reactor:net_reactor
-        ~loop_for:(fun p -> Option.map (fun s -> s.loop) (List.assoc_opt p !servers))
-        make
-    in
+    let cluster = Cluster.create ~transport ~n:cfg.n ~extra ~reactor:loop make in
     let servers = List.rev !servers in
     Option.iter Fault_plan.reset_clock chaos;
     Cluster.start cluster;
@@ -433,8 +399,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           (p, start_service ~port:(if port_base = 0 then 0 else port_base + i) s))
         servers
     in
-    { dcfg = cfg; cluster; transport; net_metrics; net_reactor; loops; loop_metrics; owned_loops;
-      servers; ports; dead = []; chaos; churn_cells = List.rev !churn_cells }
+    { dcfg = cfg; cluster; transport; net_metrics; loop; owns_loop; servers; ports; dead = [];
+      chaos; churn_cells = List.rev !churn_cells }
 
   let set_churn_mode d pid mode =
     match List.assoc_opt pid d.churn_cells with
@@ -460,8 +426,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       invalid_arg "Server.restart_replica: already running";
     (* [catchup:true]: even a replica that lost its whole data dir must ask
        the peers where the log stands before taking client traffic. *)
-    let t, inst = replica ~catchup:true d.dcfg ~me:pid ~transport:d.transport ~loop:d.loops.(pid) in
-    Cluster.start_node d.cluster pid ~loop:t.loop inst;
+    let t, inst = replica ~catchup:true d.dcfg ~me:pid ~transport:d.transport ~loop:d.loop in
+    Cluster.start_node d.cluster pid inst;
     let port = List.assoc pid d.ports in
     ignore (start_service ~port t);
     d.servers <- d.servers @ [ (pid, t) ];
@@ -503,7 +469,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
        of them shuts down. *)
     Cluster.shutdown d.cluster;
     List.iter (fun (_, s) -> stop s) d.servers;
-    List.iter Reactor.stop d.owned_loops
+    if d.owns_loop then Reactor.stop d.loop
 
   (* Agreement check across the correct replicas of a deployment — killed
      replicas' pre-crash (and recovered) commit logs included: a slot a

@@ -1,9 +1,9 @@
 (** The replicated service: client requests in, state-machine replies out.
 
     [Server] is the only shell around a {!Replica}, a state machine with no
-    I/O of its own. Each replica runs on one {!Dex_runtime.Reactor} loop,
-    owned by its deployment (or by the shared runtime a deployment
-    borrows), which also carries the replica's peer sockets. On it
+    I/O of its own. Every replica of a deployment runs on the deployment's
+    one {!Dex_runtime.Reactor} loop (or on the loop of the shared runtime
+    it borrows), which also carries every peer socket. On it
     [Server] keeps the client listener and connections (the
     client-to-connection map replies go to, and the connections to pump),
     the batch timer ({!Replica.Make.Tick}), the one-shot cut timer
@@ -45,15 +45,15 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   include module type of Replica.Make (L) with type t := Replica.Make(L).t
 
   type t
-  (** A replica in its shell: the state machine plus its loop, listener,
-      client connections, timers and WAL syncer. {!launch} builds them;
-      {!kill_replica} and {!restart_replica} cycle one. *)
+  (** A replica in its shell: the state machine plus the loop it runs on,
+      its listener, client connections, timers and WAL syncer. {!launch}
+      builds them; {!kill_replica} and {!restart_replica} cycle one. *)
 
   (** {2 Observation}
 
       Safe from any thread: [stats], [catching_up], [apply_frontier],
       [commit_log], [state_snapshot] and [state_digest] read on the
-      replica's loop, or directly once it has stopped (a crashed replica).
+      deployment's loop, or directly once that loop has stopped.
       See {!Replica.Make} for what each returns. *)
 
   val stats : t -> stats
@@ -85,39 +85,30 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** {2 Loopback deployments}
 
       All [n] replicas (plus any UC auxiliary nodes) in one process, meshed
-      over {!Transport.Tcp_codec}, each correct replica serving clients on
-      its own loopback port. *)
+      over {!Transport.Tcp_codec} and run on one loop, each correct replica
+      serving clients on its own loopback port. The loop's thread is the
+      only one a running deployment adds, besides one WAL syncer per
+      replica with a data dir: all systhreads of one OCaml domain share
+      its runtime lock, so more loops would only take turns on it. *)
 
   type mesh = {
     mesh_transport : smsg Transport.t;
     mesh_loop : Reactor.t;
-        (** the primary loop: the transport's reconnect timers and the
-            nodes that are not replicas; its [reactor/*] gauges land in the
-            mesh's [net_metrics] *)
-    replica_loops : Reactor.t array;
-        (** loop [j] runs replica [j] of every group: its consensus, its
-            inbound frames and the outbound connections it starts *)
-    loop_metrics : Dex_metrics.Registry.t array;  (** [replica_loops.(j)]'s [reactor/*] gauges *)
+        (** the one loop: every node, every socket and the transport's
+            reconnect timers; its [reactor/*] gauges land in the mesh's
+            [net_metrics] *)
   }
   (** The loopback mesh a deployment, or a whole group set, runs on. *)
 
   val mesh :
-    ?faults:Fault_plan.t ->
-    net_metrics:Dex_metrics.Registry.t ->
-    replicas:int ->
-    stride:int ->
-    groups:int ->
-    unit ->
-    mesh
-  (** [mesh ~net_metrics ~replicas ~stride ~groups ()] builds the mesh over
-      pids [0 .. groups * stride - 1], where pid [p] is replica
-      [p mod stride] of group [p / stride] when [p mod stride < replicas],
-      and a UC auxiliary node otherwise. It has [1 + replicas] loops
-      however many groups there are: the {!Transport.Tcp_codec}
-      [reactor_for] maps every group's replica [j] to [replica_loops.(j)]
-      and everything else to [mesh_loop]. Peer frames a replica sends from
-      its own loop flush once per loop turn. The caller owns everything:
-      close the transport, then stop the loops. *)
+    ?faults:Fault_plan.t -> net_metrics:Dex_metrics.Registry.t -> nodes:int -> unit -> mesh
+  (** [mesh ~net_metrics ~nodes ()] builds the mesh over pids
+      [0 .. nodes - 1] and the one loop they all run on. Peer frames sent
+      from that loop flush once per loop turn. The caller owns everything:
+      close the transport, then stop the loop. *)
+
+  type no_loop = |
+  (** Uninhabited: the only [sr_service_loop_for] is [None]. *)
 
   type shared_runtime = {
     sr_transport : smsg Transport.t;
@@ -127,20 +118,20 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     sr_net_metrics : Dex_metrics.Registry.t;
         (** the registry the shared mesh reports its [net/*] counters into *)
     sr_net_reactor : Reactor.t option;
-        (** the mesh's primary loop, also running this deployment's nodes
-            that are not replicas (UC auxiliaries, mute and equivocating
-            replicas); borrowed, never stopped here *)
-    sr_service_loop_for : (Pid.t -> Reactor.t) option;
-        (** the loop each replica pid runs on, shared by replica index
-            across groups ({!mesh}'s [replica_loops]), so loop count is
-            bounded by replica index, not by group count; [None] makes
-            {!launch} build, own and stop one loop per replica *)
+        (** the loop every node of this deployment runs on (replicas, UC
+            auxiliaries, mute and equivocating replicas); borrowed, never
+            stopped here. [None] makes {!launch} build, own and stop one
+            loop for the deployment. *)
+    sr_service_loop_for : no_loop option;
+        (** always [None], which means: no loop besides [sr_net_reactor].
+            The field stays so that runtimes written with
+            [sr_service_loop_for = None] still build. *)
   }
   (** A runtime lent to {!launch} instead of letting it build one: how
-      several consensus groups (shards) share one mesh, one set of event
-      loops and one [net/*] registry. Everything is borrowed; the lender
-      (see [Dex_shard.Group_set]) tears it down after every borrowing
-      deployment has shut down. *)
+      several consensus groups (shards) share one mesh, one event loop and
+      one [net/*] registry. Everything is borrowed; the lender (see
+      [Dex_shard.Group_set]) tears it down after every borrowing deployment
+      has shut down. *)
 
   type deployment = {
     dcfg : config;
@@ -150,22 +141,13 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
         (** deployment-wide registry holding the transport's [net/*]
             counters (totals and per-peer); per-replica [service/*] and
             [wal/*] families live in each replica's {!metrics} registry *)
-    net_reactor : Reactor.t option;
-        (** the primary mesh loop, shared by the transport's timers and the
-            nodes that are not replicas (its [reactor/*] gauges land in
-            [net_metrics]). [None] only under a lent runtime that supplies
-            no loop. *)
-    loops : Reactor.t array;
-        (** replica pid's loop, where its consensus, peer sockets and
-            client I/O run; {!restart_replica} lands the new incarnation on
-            the same loop *)
-    loop_metrics : Dex_metrics.Registry.t array;
-        (** the [reactor/*] gauges of [loops] when {!launch} built them;
-            empty when a lender owns them (it keeps their gauges) *)
-    owned_loops : Reactor.t list;
-        (** the loops {!launch} built, which {!shutdown} stops: the mesh
-            loop and [loops], or only [loops] under a lent runtime without
-            [sr_service_loop_for], or none *)
+    loop : Reactor.t;
+        (** the loop every node of the deployment runs on, with its
+            consensus, peer sockets, client I/O and timers;
+            {!restart_replica} lands the new incarnation on it *)
+    owns_loop : bool;
+        (** whether {!shutdown} stops [loop]: true when {!launch} built it,
+            false when a lent runtime supplied it *)
     mutable servers : (Pid.t * t) list;  (** live correct replicas *)
     ports : (Pid.t * int) list;  (** their client-facing service ports *)
     mutable dead : (Pid.t * t) list;  (** replicas taken down by {!kill_replica} *)
@@ -214,7 +196,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   val kill_replica : deployment -> Pid.t -> unit
   (** Crash one correct replica: its consensus stops, its service sockets
-      close (its loop keeps running for the restart), and its WAL is
+      close (the loop keeps running the others), and its WAL is
       abandoned mid-flight, with no final flush or fsync, as a power cut
       leaves it. Its
       transport endpoint stays up. The pre-crash commit log is retained for

@@ -11,7 +11,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     cfg : S.config;
     stride : int;  (* global pids per shard: n replicas + UC auxiliaries *)
     deployments : S.deployment array;
-    mesh : S.mesh;  (* the real shared mesh and its loops (owned) *)
+    mesh : S.mesh;  (* the real shared mesh and its loop (owned) *)
     net_metrics : Registry.t;
     mutable closed : bool;
   }
@@ -42,18 +42,17 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     let k = Shard_map.shards map in
     let stride = stride_of cfg in
     let net_metrics = Registry.create () in
-    (* Loops are shared by replica index: shard [i]'s replica [j] runs its
-       consensus, peer sockets, client I/O, batch cadence and WAL
-       group-commit cadence on loop [j], whatever [i] — [1 + n] loops in
-       all instead of [1 + k * n]; each WAL's fsyncs run on its own
-       syncer thread. *)
-    let mesh = S.mesh ~net_metrics ~replicas:cfg.S.n ~stride ~groups:k () in
+    (* One loop for every group: each replica's consensus, peer sockets,
+       client I/O, batch cadence and WAL group-commit cadence run on the
+       mesh loop, whatever the shard count; each WAL's fsyncs run on its
+       own syncer thread. *)
+    let mesh = S.mesh ~net_metrics ~nodes:(k * stride) () in
     let runtime i =
       {
         S.sr_transport = Transport.offset ~base:(i * stride) ~count:stride mesh.S.mesh_transport;
         sr_net_metrics = net_metrics;
         sr_net_reactor = Some mesh.S.mesh_loop;
-        sr_service_loop_for = Some (fun pid -> mesh.S.replica_loops.(pid));
+        sr_service_loop_for = None;
       }
     in
     let deployments =
@@ -74,14 +73,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
   let shutdown t =
     if not t.closed then begin
       t.closed <- true;
-      (* Tenants first: each deployment stops its replicas and joins its
-         cluster threads; closing their offset views is a no-op. Only then
-         is the real mesh torn down, followed by the loops everything above
-         was borrowing. *)
+      (* Tenants first: each deployment stops its replicas; closing their
+         offset views is a no-op. Only then is the real mesh torn down,
+         followed by the loop everything above was borrowing. *)
       Array.iter S.shutdown t.deployments;
       t.mesh.S.mesh_transport.Transport.close ();
-      Reactor.stop t.mesh.S.mesh_loop;
-      Array.iter Reactor.stop t.mesh.S.replica_loops
+      Reactor.stop t.mesh.S.mesh_loop
     end
 
   (* ------------------------------- chaos -------------------------------- *)
@@ -98,10 +95,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     let d = t.deployments.(i) in
     Registry.merge (List.map (fun (_, s) -> Registry.snapshot (S.metrics s)) d.S.servers)
 
-  let runtime_snapshot t =
-    Registry.merge
-      (Registry.snapshot t.net_metrics
-      :: Array.to_list (Array.map Registry.snapshot t.mesh.S.loop_metrics))
+  let runtime_snapshot t = Registry.snapshot t.net_metrics
 
   let agreement_violations t = Array.map S.agreement_violations t.deployments
 end

@@ -5,19 +5,17 @@
     its own WAL/snapshot root ([<data_dir>/shard-<i>], or [<data_dir>]
     itself when [k = 1]), its own per-replica
     metrics registries, its own agreement invariant — but instead of [k]
-    meshes and [k * n] event loops, every group is a {e tenant} of one
-    shared runtime ({!Dex_service.Server.Make.shared_runtime}):
+    meshes and [k] event loops, every group is a {e tenant} of one shared
+    runtime ({!Dex_service.Server.Make.shared_runtime}):
 
     - one TCP mesh over the union pid space, each shard seeing its slice
       through a zero-based {!Dex_runtime.Transport.offset} view at stride
       [n + #UC-auxiliaries];
-    - one primary mesh loop for all groups (reconnect timers, UC
-      auxiliaries, mute and equivocating nodes);
-    - [n] shared replica loops, keyed by {e replica index}: shard [i]'s
-      replica [j] runs its consensus, peer sockets and client I/O on loop
-      [j] whatever [i], so the loop count ([1 + n] threads) is set by the
-      group shape, not the shard count. A durable set adds one WAL syncer
-      thread per replica of every group.
+    - one mesh loop for all groups: every replica's consensus, peer
+      sockets and client I/O, the UC auxiliaries, mute and equivocating
+      nodes, and the reconnect timers. A running set is one loop thread
+      whatever its shard count; a durable set adds one WAL syncer thread
+      per replica of every group.
 
     Groups never exchange consensus messages — the offset views make cross
     -shard pids unreachable — so safety composes: each shard's agreement
@@ -64,8 +62,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   val deployment : t -> int -> S.deployment
 
   val shutdown : t -> unit
-  (** Tenants down first (replicas, cluster threads), then the shared mesh,
-      then the borrowed loops. Idempotent. *)
+  (** Tenants down first (replicas and their WAL syncers), then the shared
+      mesh, then the loop. Idempotent. *)
 
   (** {2 Chaos} *)
 
@@ -85,9 +83,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
 
   val runtime_snapshot : t -> Dex_metrics.Registry.snapshot
   (** The shared runtime, attributed to no shard: the mesh's [net/*]
-      series (among them [net/frames] and [net/flushes]) and the
-      [reactor/*] gauges of the primary mesh loop and every replica loop,
-      summed. *)
+      series (among them [net/frames] and [net/flushes]) and the mesh
+      loop's [reactor/*] gauges. *)
 
   val agreement_violations : t -> (int * (int * (Pid.t * int) list) list) array
   (** Per shard: {!Dex_service.Server.Make.agreement_violations}. *)

@@ -422,7 +422,7 @@ let stats (t : t) =
    [wake] between groups. A kick, the size cap and the [delay] cadence set
    [kicked] and signal it. The cadence is a periodic timer on a reactor
    loop that only looks for unsynced records and signals, never fsyncs or
-   waits for the WAL lock: a service lends its replica's loop, so a syncer
+   waits for the WAL lock: a service lends its deployment's loop, so a syncer
    costs one parked thread and no loop; without one the syncer creates a
    private loop for the timer and stops it with the syncer. *)
 type syncer = {

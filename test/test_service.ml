@@ -527,9 +527,9 @@ let test_shutdown_joins_threads () =
     let run () =
       let before = settled_thread_count () in
       let d = S.launch cfg in
-      (* A deployment runs on its loops alone: the mesh loop and one loop
-         per replica, where the replica's consensus and peer sockets run. *)
-      Alcotest.(check int) "threads of a running n=4 deployment" (1 + 4)
+      (* A deployment runs on one loop alone: every replica's consensus,
+         peer sockets and clients run on the mesh loop. *)
+      Alcotest.(check int) "threads of a running n=4 deployment" 1
         (thread_count () - before);
       let c = Client.connect ~client:1 (List.map snd d.S.ports) in
       let stop = ref false in
@@ -550,15 +550,15 @@ let test_shutdown_joins_threads () =
       Client.close c
     in
     run ();
-    (* A sharded set shares the loops by replica index: [1 + n] threads
-       however many shards. *)
+    (* A sharded set runs every group on the same one loop, however many
+       shards. *)
     List.iter
       (fun shards ->
         let before = settled_thread_count () in
         let g = G.launch ~map:(Dex_shard.Shard_map.create ~shards ()) cfg in
         Alcotest.(check int)
           (Printf.sprintf "threads of a running %d-shard set" shards)
-          (1 + 4) (thread_count () - before);
+          1 (thread_count () - before);
         G.shutdown g)
       [ 1; 3 ];
     (* A durable deployment adds one WAL syncer thread per replica, and
@@ -575,11 +575,11 @@ let test_shutdown_joins_threads () =
         let threads what expected =
           Alcotest.(check int) what expected (settled_thread_count () - before)
         in
-        threads "threads of a running durable n=4 deployment" (1 + 4 + 4);
+        threads "threads of a running durable n=4 deployment" (1 + 4);
         S.kill_replica d 2;
-        threads "threads after a kill" (1 + 4 + 3);
+        threads "threads after a kill" (1 + 3);
         ignore (S.restart_replica d 2);
-        threads "threads after the restart" (1 + 4 + 4);
+        threads "threads after the restart" (1 + 4);
         S.shutdown d;
         threads "threads after shutdown" 0);
     (* Every syncer and loop thread must have been joined: the
@@ -599,7 +599,7 @@ let test_shutdown_joins_threads () =
   end
 
 let test_getters_on_stopped_and_busy_loops () =
-  (* Replica getters run on the replica's loop. From a foreign thread they
+  (* Replica getters run on the deployment's loop. From a foreign thread they
      must answer while that loop is under client load, for a crashed
      replica, and after shutdown has stopped the loop, when they must
      answer directly instead of waiting on it. *)
