@@ -38,12 +38,14 @@ val tick :
   idle:bool ->
   outstanding:bool ->
   last_progress:float ->
+  last_release:float ->
   last_watchdog:float ->
   decision
 (** [fire] iff there is settled backlog ([backlog > 0] and [oldest] at
-    least [settle] old) and either the log is locally quiet ([idle]) or no
-    progress has been made for 10 batch delays (the overdue valve).
-    [wedged] iff [outstanding] work exists and both [last_progress] and
-    [last_watchdog] are more than {!stall_after} ago. Both legs are gated
-    on [not catching_up]: a catching-up replica neither proposes nor
-    watchdogs. *)
+    least [settle] old) and either the log is locally quiet ([idle]) or
+    neither progress ([last_progress]: a commit, apply or install) nor a
+    release ([last_release]) has happened for 10 batch delays (the overdue
+    valve). [wedged] iff [outstanding] work exists and both [last_progress]
+    and [last_watchdog] are more than {!stall_after} ago; releases do not
+    count as progress there. Both legs are gated on [not catching_up]: a
+    catching-up replica neither proposes nor watchdogs. *)

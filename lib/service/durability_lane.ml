@@ -148,6 +148,8 @@ let durable_lsn t = match t.wal with Some wal -> Wal.durable_lsn wal | None -> 0
 
 let snapshots t = Registry.value t.c_snapshots
 
+let seal t = t.closed <- true
+
 let stop t =
   Option.iter Wal.stop_syncer t.syncer;
   Option.iter Wal.close t.wal;

@@ -81,8 +81,8 @@ val release_up_to :
   t -> watermark:int -> reply:(client:int -> rid:int -> Wire.outcome -> unit) -> bool
 (** Advance the released watermark, delivering every queued reply it now
     covers (in queue order per lsn). Returns whether it advanced. After
-    {!stop} or {!crash} it releases nothing: a watermark the syncer posted
-    before its join then belongs to a stopped incarnation. *)
+    {!seal}, {!stop} or {!crash} it releases nothing: a watermark the
+    syncer posted before its join then belongs to a stopped incarnation. *)
 
 val clear_queued : t -> unit
 (** Drop every queued reply — after a snapshot transfer replaces the
@@ -132,6 +132,12 @@ val durable_lsn : t -> int
 
 val snapshots : t -> int
 (** Snapshots installed locally (the [durability/snapshots] counter). *)
+
+val seal : t -> unit
+(** Release nothing more ({!release_up_to}), without touching the WAL or
+    the syncer: the part of a teardown that belongs on the replica's loop.
+    The blocking part, {!stop} or {!crash}, can then run on another
+    thread. *)
 
 val stop : t -> unit
 (** Stop and join the syncer thread, do the final sync (its watermark to

@@ -251,7 +251,8 @@ module Make (L : PL.LANE) = struct
     mutable commit_log_floor : int;  (* no commit-log coverage below this slot *)
     mutable apply_next : int;
     mutable next_slot : int;  (* one past the highest slot this replica has touched *)
-    mutable last_progress : float;  (* time of the last commit/apply/release *)
+    mutable last_progress : float;  (* time of the last commit/apply/install *)
+    mutable last_release : float;  (* time of the batcher's last release *)
     mutable last_watchdog : float;  (* last stall-watchdog firing *)
     (* Per-replica metrics registry: every counter below, the [wal/*] and
        [durability/*] families, and the backlog/apply-lag gauges. *)
@@ -343,9 +344,10 @@ module Make (L : PL.LANE) = struct
         ~settle:t.cfg.settle ~batch_delay:t.cfg.batch_delay ~catchup_retry:t.cfg.catchup_retry
         ~idle:(t.next_slot = t.apply_next)
         ~outstanding:(t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
-        ~last_progress:t.last_progress ~last_watchdog:t.last_watchdog
+        ~last_progress:t.last_progress ~last_release:t.last_release
+        ~last_watchdog:t.last_watchdog
     in
-    if fire then t.last_progress <- now;
+    if fire then t.last_release <- now;
     if wedged then t.last_watchdog <- now;
     let upto = t.next_slot + 1 in
     Content.gc t.content ~frontier:t.apply_next;
@@ -753,15 +755,21 @@ module Make (L : PL.LANE) = struct
     | Frag_request (digest, mask, slot) -> content (Content.Frag_request (digest, mask, slot))
     | Frag_payload frag -> content (Content.Frag_payload frag)
     | Catch_up from_slot when self ->
-      (* Our own control traffic: [-1] is the batcher's stall watchdog
-         ((re-)enter catch-up); otherwise it is the retry timer — while
-         catching up, re-ask from the current frontier (peers committed
-         more since the last round). *)
+      (* Our own control traffic: [-1] is the batcher's stall watchdog;
+         otherwise it is the retry timer — while catching up, re-ask from
+         the current frontier (peers committed more since the last round).
+         The watchdog (re-)enters catch-up, which pulls slots the peers
+         committed, and has the log resend its uncommitted slots' traffic,
+         which revives a slot that no replica could decide because a
+         message it needed was lost. *)
       if from_slot < 0 then begin
         if
           (not (Catch_up.active t.cu))
           && (t.next_slot > t.apply_next || Hashtbl.length t.commit_buf > 0)
-        then begin_catchup t
+        then begin
+          push_action t (Protocol.Send (t.me, Log_msg Log.resend));
+          begin_catchup t
+        end
       end
       else if Catch_up.active t.cu then begin
         check_catchup_done t;
@@ -892,6 +900,7 @@ module Make (L : PL.LANE) = struct
         apply_next = 0;
         next_slot = 0;
         last_progress = now;
+        last_release = now;
         last_watchdog = now;
         metrics;
         c_committed = Registry.counter metrics "service/committed_slots";

@@ -197,13 +197,17 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       t.client_conns <- []
     end
 
-  (* Service and WAL go down on the loop, so nothing of the replica runs
-     beside the teardown. The loop stays up: it still serves the pid's
+  (* The service stops and the lane is sealed on the loop, so nothing of
+     the replica runs beside the rest of the teardown (its consensus is
+     already quiesced). Joining the WAL syncer, which may be mid-fsync, and
+     the final sync then run on the caller: on the loop they would stall
+     every other node. The loop stays up: it still serves the pid's
      transport endpoint and the other nodes, and a restart runs on it. *)
   let teardown t close_wal =
     Reactor.call t.loop (fun () ->
         stop_service t;
-        close_wal (R.lane t.replica))
+        Durability_lane.seal (R.lane t.replica));
+    close_wal (R.lane t.replica)
 
   let stop t = teardown t Durability_lane.stop
 

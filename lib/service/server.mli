@@ -88,8 +88,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       over {!Transport.Tcp_codec} and run on one loop, each correct replica
       serving clients on its own loopback port. The loop's thread is the
       only one a running deployment adds, besides one WAL syncer per
-      replica with a data dir: all systhreads of one OCaml domain share
-      its runtime lock, so more loops would only take turns on it. *)
+      replica with a data dir. OCaml code of one domain runs on one thread
+      at a time, so more loops would overlap only their syscalls, and
+      their lock handoffs measured costlier than that overlap. *)
 
   type mesh = {
     mesh_transport : smsg Transport.t;
@@ -198,8 +199,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** Crash one correct replica: its consensus stops, its service sockets
       close (the loop keeps running the others), and its WAL is
       abandoned mid-flight, with no final flush or fsync, as a power cut
-      leaves it. Its
-      transport endpoint stays up. The pre-crash commit log is retained for
+      leaves it. Its WAL syncer is joined on the calling thread, not on the
+      loop, which keeps running the other nodes meanwhile. Its transport
+      endpoint stays up. The pre-crash commit log is retained for
       {!agreement_violations}.
       @raise Invalid_argument if [pid] is not a live correct replica. *)
 

@@ -8,15 +8,19 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
     | Slot of { slot : int; payload : D.msg }
     | Release of int
     | Skip of int
+    | Resend
 
   let release upto = Release upto
 
   let skip upto = Skip upto
 
+  let resend = Resend
+
   let pp_msg ppf = function
     | Slot { slot; payload } -> Format.fprintf ppf "[slot %d] %a" slot D.pp_msg payload
     | Release upto -> Format.fprintf ppf "[release <%d]" upto
     | Skip upto -> Format.fprintf ppf "[skip <%d]" upto
+    | Resend -> Format.fprintf ppf "[resend]"
 
   let codec =
     let open Dex_codec.Codec in
@@ -28,7 +32,8 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
               int.write buf slot;
               D.codec.write buf payload )
         | Release upto -> (1, fun buf -> int.write buf upto)
-        | Skip upto -> (2, fun buf -> int.write buf upto))
+        | Skip upto -> (2, fun buf -> int.write buf upto)
+        | Resend -> (3, fun _ -> ()))
       (fun tag r ->
         match tag with
         | 0 ->
@@ -36,6 +41,7 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
           Slot { slot; payload = D.codec.read r }
         | 1 -> Release (int.read r)
         | 2 -> Skip (int.read r)
+        | 3 -> Resend
         | other -> bad_tag ~name:"Replicated_log.msg" other)
 
   type config = {
@@ -80,6 +86,14 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
     (* All slots < low are started (or committed without a local start);
        the activation sweep never has to look below it. *)
     let low = ref base in
+    (* Every send of each slot not yet committed, one list per batch of
+       actions, for [Resend]; dropped when the slot commits or is skipped. *)
+    let outbox : (int, msg Protocol.action list list) Hashtbl.t = Hashtbl.create 16 in
+    let record slot sends =
+      if sends <> [] && slot >= !commits then
+        Hashtbl.replace outbox slot
+          (sends :: Option.value ~default:[] (Hashtbl.find_opt outbox slot))
+    in
 
     let instance_of slot =
       match Hashtbl.find_opt instances slot with
@@ -99,13 +113,21 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
     (* Wrapping a slot's actions may commit, which may activate further
        slots, whose start actions are folded into the same result. *)
     let rec wrap slot actions =
-      List.concat_map
-        (function
-          | Protocol.Send (p, m) -> [ Protocol.Send (p, Slot { slot; payload = m }) ]
-          | Protocol.Set_timer { delay; msg } ->
-            [ Protocol.Set_timer { delay; msg = Slot { slot; payload = msg } } ]
-          | Protocol.Decide { value; tag } -> on_decide slot value tag)
-        actions
+      let sends = ref [] in
+      let wrapped =
+        List.concat_map
+          (function
+            | Protocol.Send (p, m) ->
+              let send = Protocol.Send (p, Slot { slot; payload = m }) in
+              sends := send :: !sends;
+              [ send ]
+            | Protocol.Set_timer { delay; msg } ->
+              [ Protocol.Set_timer { delay; msg = Slot { slot; payload = msg } } ]
+            | Protocol.Decide { value; tag } -> on_decide slot value tag)
+          actions
+      in
+      record slot !sends;
+      wrapped
     and on_decide slot value tag =
       if slot < !commits || Hashtbl.mem decided slot then []
       else begin
@@ -123,6 +145,7 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
            contiguous prefix. *)
         Hashtbl.replace started slot ();
         Hashtbl.remove seen slot;
+        Hashtbl.remove outbox slot;
         (* Retire the instance that fell out of the retention band; stragglers
            for retired slots are dropped at the [on_message] floor. *)
         Hashtbl.remove instances (slot - retain);
@@ -178,12 +201,25 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
             Hashtbl.replace started slot ();
             Hashtbl.remove decided slot;
             Hashtbl.remove seen slot;
+            Hashtbl.remove outbox slot;
             Hashtbl.remove instances (slot - retain)
           done;
           (* Slots beyond the skip point that decided passively while we
              lagged can flush now. *)
           flush_commits ()
         end
+        else []
+      | Resend ->
+        (* Local control traffic: a replica whose log stopped committing
+           self-sends [resend] to repeat every send of its uncommitted
+           slots. The log never retransmits otherwise, so a lost message
+           that no replica can do without (a UC proposal, a vote the
+           quorum needs) wedges the slot everywhere; instances ignore
+           redelivery. Only honoured from ourselves. *)
+        if Pid.equal from me then
+          Hashtbl.fold
+            (fun _ batches acc -> List.fold_left (fun acc s -> List.rev_append s acc) acc batches)
+            outbox []
         else []
       | Slot { slot; payload } ->
         if slot < 0 || slot >= cfg.slots || slot < !commits - retain then []
@@ -222,7 +258,7 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
     let start () = [] in
     let on_message ~now ~from m =
       match m with
-      | Release _ | Skip _ -> []
+      | Release _ | Skip _ | Resend -> []
       | Slot { slot; payload } ->
         if slot < 0 || slot >= cfg.slots then []
         else
@@ -263,7 +299,7 @@ module Make (D : Dex_core.Protocol_lane.LANE) = struct
     let start () = [] in
     let on_message ~now ~from m =
       match m with
-      | Release _ | Skip _ -> []
+      | Release _ | Skip _ | Resend -> []
       | Slot { slot; payload } ->
         if slot < 0 || slot >= cfg.slots then []
         else

@@ -62,6 +62,14 @@ module Make (D : Dex_core.Protocol_lane.LANE) : sig
       unless it arrives from the replica's own pid — a forged skip from a
       peer could silence commits. *)
 
+  val resend : msg
+  (** A control message a replica sends {e to itself} when its log has
+      stopped committing: it repeats every send of every slot it has not
+      committed yet. The log otherwise never retransmits, so a message lost
+      on the way (a UC proposal, a vote a quorum needs) can wedge a slot at
+      every replica; instances treat the redelivery as a no-op. Ignored
+      unless it arrives from the replica's own pid. *)
+
   type config = {
     pair : int -> Pair.t;  (** condition pair per slot (usually constant) *)
     n : int;

@@ -330,6 +330,43 @@ let test_reorder_reactor () = run_rounds ~seeds:[ 111; 112; 113 ] mix_reorder
 let test_storm_reactor () = run_rounds ~seeds:[ 121; 122; 123 ] mix_storm
 let test_churn_reactor () = run_rounds ~seeds:[ 131; 132; 133 ] mix_churn
 
+(* A symmetric cut of {0,1} from the other five for 1 s, under load: no
+   side reaches n - t = 6, so the slot in flight decides nowhere and the
+   frames it lost are never sent again by the log itself. Commits must
+   resume within 2 s of the heal — the stall watchdog's resend repeats the
+   lost traffic. *)
+let test_commits_resume_after_heal () =
+  let plan =
+    FP.make
+      {
+        FP.empty_spec with
+        seed = 7;
+        cuts =
+          [ { FP.cut_a = [ 0; 1 ]; cut_b = [ 2; 3; 4; 5; 6 ]; symmetric = true; from_s = 0.5;
+              until_s = 1.5 } ];
+      }
+  in
+  let cfg = S.config ~pair:(fun _ -> freq7) ~n:7 ~t:1 () in
+  let d = S.launch ~chaos:plan cfg in
+  Fun.protect ~finally:(fun () -> S.shutdown d) @@ fun () ->
+  let c = Client.connect ~client:1 (List.map snd d.S.ports) in
+  let loader =
+    Thread.create (fun () -> ignore (Client.Load.run ~duration:3.6 c (fun _ -> Sm.Add ("k", 1)))) ()
+  in
+  let committed () = (S.stats (List.assoc 2 d.S.servers)).S.committed_slots in
+  let at time = Thread.delay (Float.max 0.0 (time -. FP.elapsed plan)) in
+  at 0.7;
+  let cut = committed () in
+  at 1.45;
+  let healed = committed () in
+  at 3.5;
+  let later = committed () in
+  Thread.join loader;
+  Client.close c;
+  Alcotest.(check bool) "the load committed before the cut" true (cut > 0);
+  Alcotest.(check int) "nothing commits during the cut" cut healed;
+  Alcotest.(check bool) "commits resume within 2 s of the heal" true (later > healed)
+
 (* --------------------- timer tombstone regression --------------------- *)
 
 let freq4 = Dex_condition.Pair.freq ~n:4 ~t:0
@@ -494,6 +531,8 @@ let () =
           Alcotest.test_case "reorder + delay + dup" `Slow test_reorder_reactor;
           Alcotest.test_case "crash-restart storm" `Slow test_storm_reactor;
           Alcotest.test_case "byzantine churn" `Slow test_churn_reactor;
+          Alcotest.test_case "commits resume after a healed partition" `Slow
+            test_commits_resume_after_heal;
         ] );
       ( "regressions",
         [ Alcotest.test_case "timer tombstones" `Slow test_timer_tombstones ] );

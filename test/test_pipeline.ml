@@ -94,9 +94,9 @@ let test_cut_rearms_oldest () =
 
 let tick ?(now = 10.0) ?(catching_up = false) ?(backlog = 1) ?(oldest = 0.0) ?(settle = 0.002)
     ?(batch_delay = 0.004) ?(catchup_retry = 0.05) ?(idle = true) ?(outstanding = false)
-    ?(last_progress = 10.0) ?(last_watchdog = 0.0) () =
+    ?(last_progress = 10.0) ?(last_release = 0.0) ?(last_watchdog = 0.0) () =
   Batcher.tick ~now ~catching_up ~backlog ~oldest ~settle ~batch_delay ~catchup_retry ~idle
-    ~outstanding ~last_progress ~last_watchdog
+    ~outstanding ~last_progress ~last_release ~last_watchdog
 
 let test_tick_fire () =
   Alcotest.(check bool) "idle + settled backlog fires" true (tick ()).Batcher.fire;
@@ -107,7 +107,9 @@ let test_tick_fire () =
   (* The overdue valve: a stalled in-flight slot stops gating the release
      after ~10 ticks without progress. *)
   Alcotest.(check bool) "overdue valve" true
-    (tick ~idle:false ~last_progress:9.9 ()).Batcher.fire
+    (tick ~idle:false ~last_progress:9.9 ()).Batcher.fire;
+  Alcotest.(check bool) "the valve waits 10 ticks after its own release" false
+    (tick ~idle:false ~last_progress:9.9 ~last_release:9.99 ()).Batcher.fire
 
 let test_tick_watchdog () =
   let sa = Batcher.stall_after ~catchup_retry:0.05 ~batch_delay:0.004 in
@@ -122,7 +124,11 @@ let test_tick_watchdog () =
   Alcotest.(check bool) "recent firing suppresses" false
     (tick ~backlog:0 ~outstanding:true ~last_progress:9.0 ~last_watchdog:9.9 ()).Batcher.wedged;
   Alcotest.(check bool) "catch-up suppresses" false
-    (tick ~catching_up:true ~backlog:0 ~outstanding:true ~last_progress:9.0 ()).Batcher.wedged
+    (tick ~catching_up:true ~backlog:0 ~outstanding:true ~last_progress:9.0 ()).Batcher.wedged;
+  (* A backlog keeps the overdue valve releasing; releases are not progress,
+     so they must not hold the watchdog off. *)
+  let valve = tick ~idle:false ~outstanding:true ~last_progress:9.0 ~last_release:9.9 () in
+  Alcotest.(check bool) "releases do not hold the watchdog off" true valve.Batcher.wedged
 
 (* --------------------------- durability lane --------------------------- *)
 
@@ -535,7 +541,9 @@ let test_replica_release_hop () =
    event queue ordered by a fake clock the test advances, a fixed hop
    latency, the UC oracle as a plain instance, and closed-loop clients
    that submit each request to every replica and send the next once all
-   four have answered. *)
+   four have answered. [lost ~now ~src ~dst] drops a consensus message
+   sent at [now]; with [retry_busy] a client resends a request a replica
+   answered [Busy] (catching up), which otherwise fails the run. *)
 type target =
   | Step of Dex_net.Pid.t * R.event  (* a replica event *)
   | Node of Dex_net.Pid.t * Dex_net.Pid.t * R.smsg  (* to an auxiliary node, from *)
@@ -546,7 +554,7 @@ module Queue = Map.Make (struct
   let compare = compare
 end)
 
-let test_replica_group_on_fake_clock () =
+let run_group ?(lost = fun ~now:_ ~src:_ ~dst:_ -> false) ?(retry_busy = false) () =
   let n = 4 and clients = 4 and hop = 0.0002 and target_slots = 20 in
   let replicas = Array.init n (fun me -> R.create cfg4 ~me ~now:0.0) in
   let extra =
@@ -565,7 +573,9 @@ let test_replica_group_on_fake_clock () =
     queue := Queue.add (time, !seq) target !queue
   in
   let send ~now ~src dst m =
-    if dst < n then at (now +. hop) (Step (dst, R.Message (src, m)))
+    let dropped = match m with R.Log_msg _ -> lost ~now ~src ~dst | _ -> false in
+    if dropped then ()
+    else if dst < n then at (now +. hop) (Step (dst, R.Message (src, m)))
     else at (now +. hop) (Node (dst, src, m))
   in
   let actions ~now ~src =
@@ -577,24 +587,28 @@ let test_replica_group_on_fake_clock () =
   (* Applied replies per (replica, client, rid), and per-request answers. *)
   let applied = Hashtbl.create 256 and answered = Hashtbl.create 64 in
   let next_rid = Array.make clients 0 and stopped = ref false in
+  let request client rid = { Wire.client; rid; command = Sm.Add ("k", 1) } in
   let submit ~now client =
     next_rid.(client) <- next_rid.(client) + 1;
-    let r = { Wire.client; rid = next_rid.(client); command = Sm.Add ("k", 1) } in
     for p = 0 to n - 1 do
-      at (now +. hop) (Step (p, R.Request r))
+      at (now +. hop) (Step (p, R.Request (request client next_rid.(client))))
     done
   in
   let on_reply ~now me (r : Wire.reply) =
     match r.Wire.outcome with
     | Wire.Applied _ ->
       let key = (me, r.Wire.client, r.Wire.rid) in
-      Hashtbl.replace applied key (1 + Option.value ~default:0 (Hashtbl.find_opt applied key));
+      let before = Option.value ~default:0 (Hashtbl.find_opt applied key) in
+      Hashtbl.replace applied key (1 + before);
       let k = (r.Wire.client, r.Wire.rid) in
-      let got = 1 + Option.value ~default:0 (Hashtbl.find_opt answered k) in
+      let got = Option.value ~default:0 (Hashtbl.find_opt answered k) in
+      let got = if before = 0 then got + 1 else got in
       Hashtbl.replace answered k got;
       if got = n && r.Wire.rid = next_rid.(r.Wire.client) && not !stopped then
         submit ~now r.Wire.client
-    | Wire.Busy -> Alcotest.fail "no replica is busy in a fault-free group"
+    | Wire.Busy ->
+      if not retry_busy then Alcotest.fail "no replica is busy in a fault-free group";
+      at (now +. 0.01) (Step (me, R.Request (request r.Wire.client r.Wire.rid)))
   in
   let step ~now me event =
     let effects = R.step replicas.(me) ~now event in
@@ -644,7 +658,13 @@ let test_replica_group_on_fake_clock () =
   in
   run ();
   Alcotest.(check bool) "at least 20 slots committed" true (committed () >= target_slots);
-  let log r = List.map (fun (slot, digest, _) -> (slot, digest)) (R.commit_log r) in
+  (* A replica may have committed a slot more than the others when the run
+     stops; compare the prefix every replica holds. *)
+  let common = committed () in
+  let log r =
+    List.filteri (fun i _ -> i < common)
+      (List.map (fun (slot, digest, _) -> (slot, digest)) (R.commit_log r))
+  in
   Array.iter
     (fun r ->
       Alcotest.(check (list (pair int int))) "equal commit logs" (log replicas.(0)) (log r);
@@ -653,10 +673,35 @@ let test_replica_group_on_fake_clock () =
   let requests = Array.fold_left ( + ) 0 next_rid in
   Alcotest.(check int) "every request applied at every replica" (n * requests)
     (Hashtbl.length applied);
-  Alcotest.(check int) "exactly one Applied reply per request and replica" 0
-    (Hashtbl.fold (fun _ count bad -> if count = 1 then bad else bad + 1) applied 0);
+  (* A retried request can be answered again from the session cache. *)
+  if not retry_busy then
+    Alcotest.(check int) "exactly one Applied reply per request and replica" 0
+      (Hashtbl.fold (fun _ count bad -> if count = 1 then bad else bad + 1) applied 0);
   Alcotest.(check (list (pair string int))) "the counter holds every request"
-    [ ("k", requests) ] (R.state_snapshot replicas.(0))
+    [ ("k", requests) ] (R.state_snapshot replicas.(0));
+  replicas
+
+let test_replica_group_on_fake_clock () = ignore (run_group ())
+
+(* Replica 3 loses every consensus message sent to it for 0.25 s, so it
+   decides none of the slots then in flight while its peers commit them;
+   the log never resends. At t=0 the peers need its proposals for every
+   later slot, so the group stalls until replica 3 catches up — which its
+   stall watchdog must start although its backlog keeps the batcher's
+   overdue valve releasing. *)
+let test_replica_group_lossy_link () =
+  let lost ~now ~src ~dst = dst = 3 && src <> 3 && now >= 0.01 && now < 0.26 in
+  let replicas = run_group ~lost ~retry_busy:true () in
+  Alcotest.(check bool) "replica 3 caught up over the catch-up lane" true
+    ((R.stats replicas.(3)).R.catchup_installed > 0)
+
+(* Every consensus message between two processes is lost for 0.1 s: the
+   slots then in flight decide nowhere, so no peer has a commit to offer.
+   Once the links heal, the stall watchdog's resend repeats the lost
+   traffic and the group commits again. *)
+let test_replica_group_heals () =
+  let lost ~now ~src ~dst = src <> dst && now >= 0.01 && now < 0.11 in
+  ignore (run_group ~lost ~retry_busy:true ())
 
 let () =
   Alcotest.run "dex_pipeline"
@@ -704,5 +749,9 @@ let () =
             test_replica_release_hop;
           Alcotest.test_case "step: n=4 group on a fake clock" `Quick
             test_replica_group_on_fake_clock;
+          Alcotest.test_case "step: a replica that lost a slot's decision catches up" `Quick
+            test_replica_group_lossy_link;
+          Alcotest.test_case "step: a slot no replica decided resumes after a heal" `Quick
+            test_replica_group_heals;
         ] );
     ]

@@ -561,6 +561,28 @@ let test_shutdown_joins_threads () =
           1 (thread_count () - before);
         G.shutdown g)
       [ 1; 3 ];
+    (* A lent runtime without a loop: the deployment builds one loop, runs
+       every replica on it, and stops it at shutdown; the lender's mesh
+       loop, which owns the sockets, stays up until the lender stops it. *)
+    let net_metrics = Dex_metrics.Registry.create () in
+    let extra = List.length (S.Log.extra (S.log_config cfg)) in
+    let m = S.mesh ~net_metrics ~nodes:(cfg.S.n + extra) () in
+    let before = settled_thread_count () in
+    let runtime =
+      { S.sr_transport = m.S.mesh_transport; sr_net_metrics = net_metrics;
+        sr_net_reactor = None; sr_service_loop_for = None }
+    in
+    let d = S.launch ~runtime cfg in
+    Alcotest.(check int) "threads of a deployment on a lent runtime without a loop" 1
+      (thread_count () - before);
+    let c = Client.connect ~client:1 (List.map snd d.S.ports) in
+    Alcotest.(check bool) "it commits" true
+      (Client.submit ~timeout:2.0 ~attempts:3 c (Sm.Add ("k", 1)) <> None);
+    Client.close c;
+    S.shutdown d;
+    Alcotest.(check int) "its loop is stopped at shutdown" 0 (settled_thread_count () - before);
+    m.S.mesh_transport.Dex_runtime.Transport.close ();
+    Dex_runtime.Reactor.stop m.S.mesh_loop;
     (* A durable deployment adds one WAL syncer thread per replica, and
        a crash or a restart takes or adds exactly that replica's. *)
     let dir =

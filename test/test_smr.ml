@@ -260,6 +260,68 @@ let test_duplicate_slot_messages () =
       commits
   done
 
+let test_resend_revives_lost_traffic () =
+  (* Every replica's sends to the UC oracle (pid 7) are lost until its
+     self-timed [resend], so a contended slot decides nowhere and the log
+     wedges there: the log never retransmits by itself. The resend repeats
+     the uncommitted slots' sends, the lost proposals arrive, and the whole
+     log commits, identically everywhere. *)
+  let workload p ~slot = if slot mod 2 = 0 then 7 else p mod 3 in
+  let run ~resend =
+    let wrap p (i : _ Dex_net.Protocol.instance) =
+      let lossy = ref true in
+      let filter acts =
+        if !lossy then
+          List.filter (function Dex_net.Protocol.Send (7, _) -> false | _ -> true) acts
+        else acts
+      in
+      let timer = Dex_net.Protocol.Set_timer { delay = 10.0; msg = L.resend } in
+      {
+        Dex_net.Protocol.start =
+          (fun () -> (if resend then [ timer ] else []) @ filter (i.Dex_net.Protocol.start ()));
+        on_message =
+          (fun ~now ~from m ->
+            if from = p && m = L.resend then lossy := false;
+            filter (i.Dex_net.Protocol.on_message ~now ~from m));
+      }
+    in
+    snd (run_log_wrapped ~slots:6 ~wrap ~workload ())
+  in
+  Alcotest.(check int) "without a resend the log stops at the first contended slot" 1
+    (List.length (run ~resend:false).(0));
+  let commits = run ~resend:true in
+  Alcotest.(check int) "with it the whole log commits" 6 (List.length commits.(0));
+  Array.iteri
+    (fun p log ->
+      Alcotest.(check (list (pair int int))) (Printf.sprintf "replica %d agrees" p) commits.(0) log)
+    commits
+
+let test_forged_resend_ignored () =
+  (* A resend from a peer repeats nothing: only a replica's own pid may ask
+     its log to resend. *)
+  let cfg = L.config ~pair:(fun _ -> freq7) ~slots:4 ~n:7 ~t:1 () in
+  let i =
+    L.replica ~activation:`On_demand cfg ~me:0
+      ~propose:(fun ~slot -> slot)
+      ~on_commit:(fun ~slot:_ ~provenance:_ _ -> ())
+  in
+  ignore (i.Dex_net.Protocol.start ());
+  let opened = i.Dex_net.Protocol.on_message ~now:0.0 ~from:0 (L.release 1) in
+  let sends acts =
+    List.sort compare
+      (List.filter_map
+         (function
+           | Dex_net.Protocol.Send (p, m) -> Some (p, Format.asprintf "%a" L.pp_msg m)
+           | _ -> None)
+         acts)
+  in
+  Alcotest.(check bool) "the release opens slot 0" true (sends opened <> []);
+  Alcotest.(check (list (pair int string))) "our own resend repeats slot 0's sends"
+    (sends opened)
+    (sends (i.Dex_net.Protocol.on_message ~now:0.0 ~from:0 L.resend));
+  Alcotest.(check int) "a peer's resend repeats nothing" 0
+    (List.length (i.Dex_net.Protocol.on_message ~now:0.0 ~from:1 L.resend))
+
 let test_jittered_commit_order () =
   (* Exponential delays and randomized same-instant scheduling reorder slot
      traffic across the window; commits must still surface in slot order at
@@ -307,5 +369,8 @@ let () =
           Alcotest.test_case "forged skip ignored" `Quick test_forged_skip_ignored;
           Alcotest.test_case "duplicate deliveries" `Quick test_duplicate_slot_messages;
           Alcotest.test_case "jittered commit order" `Quick test_jittered_commit_order;
+          Alcotest.test_case "resend revives lost traffic" `Quick
+            test_resend_revives_lost_traffic;
+          Alcotest.test_case "forged resend ignored" `Quick test_forged_resend_ignored;
         ] );
     ]
