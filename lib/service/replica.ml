@@ -326,14 +326,15 @@ module Make (L : PL.LANE) = struct
   (* One batcher tick: decide via {!Batcher.tick}, then send the release /
      watchdog messages to ourselves as [Via_transport] effects, so they
      cross the transport and its fault plan. This is an open defect, not a
-     design: a local event should not cross the transport, but today
-     liveness under loss depends on the hop. A release handed straight to
-     our own instance made this replica cut its batch a hop ahead of the
-     peers that cut on its proposal, so under saturation most slots
-     diverged to the underlying consensus; and an undelayed, unfaulted
-     release stalled the chaos gauntlet within 20 slots. ROADMAP item 1(c)
-     owns the cut-alignment half and item 11(c) the liveness half; once
-     both are done, [Via_transport] can go. *)
+     design: a local event should not cross the transport. A release
+     handed straight to our own instance made this replica cut its batch a
+     hop ahead of the peers that cut on its proposal, so under saturation
+     most slots diverged to the underlying consensus; and an undelayed,
+     unfaulted release stalled the chaos gauntlet within 20 slots, back
+     when a backlog kept the stall watchdog from firing and nothing resent
+     lost traffic. ROADMAP item 1(c) owns the cut-alignment half, and item
+     11(c) must show the gauntlets stay live without the hop; then
+     [Via_transport] can go. *)
   let batcher_tick t =
     let now = t.now in
     let { Batcher.fire; wedged } =
